@@ -3,19 +3,30 @@
 // A request is pure data: the inputs of one of the library's deliverables
 // (Theorem 1.1 full multiply, Theorem 1.2 subunit multiply, Theorem 1.3
 // LIS with the semi-local kernel and windowed queries, Corollary 1.3.1
-// LCS). Which algorithm actually runs — the sequential engine, the
-// simulated MPC cluster, or the retained reference oracles — is chosen by
-// the Solver's backend, never by the request; the same request can be
-// replayed against every backend, which is exactly what the bit-identity
-// tests do.
+// LCS). Which algorithm actually runs — the sequential engine or the
+// simulated MPC cluster — is chosen by the Solver's backend, never by the
+// request; the same request can be replayed against both backends, which
+// is exactly what the bit-identity tests do.
 //
 // Results carry the existing reports/stats unchanged: the MPC backend
-// fills core::MpcMultiplyReport / round counts, the other backends leave
-// them zero. See api/solver.h for the routing table.
+// fills core::MpcMultiplyReport / round counts, the Sequential backend
+// leaves them zero. See api/solver.h for the routing table.
+//
+// This header is also the one registration point of a request kind. Next
+// to each request struct sits its RequestTraits specialization: the result
+// type, a digest tag that no other kind shares, and visit(), which hands
+// every field of the request, in digest order, to a callable. The list
+// MONGE_REQUEST_KINDS at the end names every kind. Solver::solve and
+// try_solve, SolverService::submit and try_submit and request_digest are
+// each one template over that list, so a new kind adds its structs, its
+// traits and its list entry here plus its route (a Solver::solve_on
+// overload); the service tier needs nothing.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,6 +35,11 @@
 #include "query/semilocal_index.h"
 
 namespace monge {
+
+/// Result type, digest tag and field visitor of one request kind;
+/// specialized next to each request struct below.
+template <typename Req>
+struct RequestTraits;
 
 /// One product PC = PA ⊡ PB.
 struct MultiplyRequest {
@@ -40,8 +56,17 @@ struct MultiplyRequest {
 struct MultiplyResult {
   Perm c;  ///< the product PA ⊡ PB.
   /// Round/space accounting of the cluster call. Filled by the MpcSim
-  /// backend; all-zero for Sequential and Reference.
+  /// backend; all-zero for Sequential.
   core::MpcMultiplyReport report{};
+};
+
+template <>
+struct RequestTraits<MultiplyRequest> {
+  using Result = MultiplyResult;
+  static constexpr char kTag = 'M';
+  static auto visit(const MultiplyRequest& r, auto&& f) {
+    return f(r.kind, r.a, r.b);
+  }
 };
 
 /// LIS of a sequence (duplicates allowed; strict LIS), optionally with the
@@ -54,8 +79,7 @@ struct LisRequest {
   bool want_kernel = false;
   /// Inclusive [l, r] windows answered offline; l > r is a legitimate
   /// empty window (answers 0). Non-empty implies a kernel is built
-  /// internally (except on the Reference backend, which answers windows
-  /// with the per-window patience oracle).
+  /// internally.
   std::vector<std::pair<std::int64_t, std::int64_t>> windows;
 };
 
@@ -66,6 +90,15 @@ struct LisResult {
   std::vector<std::int64_t> window_lis;
   std::int64_t rounds = 0;        ///< MPC rounds consumed (MpcSim only).
   std::int64_t merge_levels = 0;  ///< kernel merge-tree levels (MpcSim only).
+};
+
+template <>
+struct RequestTraits<LisRequest> {
+  using Result = LisResult;
+  static constexpr char kTag = 'L';
+  static auto visit(const LisRequest& r, auto&& f) {
+    return f(r.seq, r.want_kernel, r.windows);
+  }
 };
 
 /// LCS of two sequences via the Hunt–Szymanski reduction to strict LIS.
@@ -80,6 +113,13 @@ struct LcsResult {
   /// must be provisioned for). Filled by every backend.
   std::int64_t matches = 0;
   std::int64_t rounds = 0;  ///< MPC rounds consumed (MpcSim only).
+};
+
+template <>
+struct RequestTraits<LcsRequest> {
+  using Result = LcsResult;
+  static constexpr char kTag = 'C';
+  static auto visit(const LcsRequest& r, auto&& f) { return f(r.s, r.t); }
 };
 
 /// Shared reference to an immutable query::SemiLocalIndex — what a
@@ -103,9 +143,9 @@ struct QueryHandle {
 
 /// Build a SemiLocalIndex once so arbitrarily many WindowLisQuery /
 /// SubstringLcsQuery batches answer without re-running the seaweed
-/// machinery. The backend chooses which kernel builder runs (all three
-/// produce bit-identical kernels, so the served answers never depend on
-/// the backend).
+/// machinery. The backend chooses which kernel builder runs (both produce
+/// bit-identical kernels, so the served answers never depend on the
+/// backend).
 struct BuildIndexRequest {
   enum class Kind {
     kWindowLis = 0,     ///< index seq for LIS(seq[l..r]) queries.
@@ -129,6 +169,17 @@ struct BuildIndexResult {
   std::int64_t rounds = 0;   ///< MPC rounds consumed (MpcSim only).
 };
 
+// The kind is digested: a window-LIS and a substring-LCS index over the
+// same sequence must never share a cache entry.
+template <>
+struct RequestTraits<BuildIndexRequest> {
+  using Result = BuildIndexResult;
+  static constexpr char kTag = 'B';
+  static auto visit(const BuildIndexRequest& r, auto&& f) {
+    return f(r.kind, r.seq, r.t);
+  }
+};
+
 /// A batch of window-LIS queries against a kWindowLis index.
 struct WindowLisQuery {
   QueryHandle handle;
@@ -140,6 +191,15 @@ struct WindowLisQuery {
 struct WindowLisResult {
   /// One LIS length per WindowLisQuery::windows entry, in input order.
   std::vector<std::int64_t> lis;
+};
+
+template <>
+struct RequestTraits<WindowLisQuery> {
+  using Result = WindowLisResult;
+  static constexpr char kTag = 'W';
+  static auto visit(const WindowLisQuery& r, auto&& f) {
+    return f(r.handle, r.windows);
+  }
 };
 
 /// A batch of substring-LCS queries against a kSubstringLcs index.
@@ -155,5 +215,56 @@ struct SubstringLcsResult {
   /// order.
   std::vector<std::int64_t> lcs;
 };
+
+template <>
+struct RequestTraits<SubstringLcsQuery> {
+  using Result = SubstringLcsResult;
+  static constexpr char kTag = 'S';
+  static auto visit(const SubstringLcsQuery& r, auto&& f) {
+    return f(r.handle, r.substrings);
+  }
+};
+
+/// Every request kind. X is applied to each request struct's name; the
+/// Solver and SolverService sources expand the list into their explicit
+/// template instantiations, and RequestKinds below is built from it.
+#define MONGE_REQUEST_KINDS(X) \
+  X(MultiplyRequest)           \
+  X(LisRequest)                \
+  X(LcsRequest)                \
+  X(BuildIndexRequest)         \
+  X(WindowLisQuery)            \
+  X(SubstringLcsQuery)
+
+/// A list of request kinds as a type.
+template <typename... Reqs>
+struct RequestList {
+  /// True iff Req is one of the listed kinds.
+  template <typename Req>
+  static constexpr bool contains = (std::is_same_v<Req, Reqs> || ...);
+  /// A std::tuple holding one F of each listed kind, in list order.
+  template <template <typename> class F>
+  using map = std::tuple<F<Reqs>...>;
+};
+
+namespace detail {
+// Drops the placeholder that lets the list expand with leading commas.
+template <typename Placeholder, typename... Reqs>
+using RequestListOf = RequestList<Reqs...>;
+}  // namespace detail
+
+#define MONGE_REQUEST_KIND_ARG(Req) , Req
+/// MONGE_REQUEST_KINDS as a RequestList.
+using RequestKinds =
+    detail::RequestListOf<void MONGE_REQUEST_KINDS(MONGE_REQUEST_KIND_ARG)>;
+#undef MONGE_REQUEST_KIND_ARG
+
+/// Satisfied by exactly the kinds in MONGE_REQUEST_KINDS.
+template <typename Req>
+concept SolverRequest = RequestKinds::contains<Req>;
+
+/// The result type of request kind Req.
+template <SolverRequest Req>
+using RequestResult = typename RequestTraits<Req>::Result;
 
 }  // namespace monge

@@ -1,5 +1,6 @@
 #include "api/service.h"
 
+#include <span>
 #include <string>
 
 #include "util/check.h"
@@ -16,8 +17,9 @@ namespace {
 /// Two independent 64-bit accumulation streams (FNV-1a-style fold followed
 /// by the splitmix64 finalizer, with distinct offsets and combining rules)
 /// over the request's words. Every variable-length field is preceded by
-/// its length and every request by a type tag, so no two distinct payloads
-/// serialize to the same word stream.
+/// its length and every request by its kind's tag, so no two distinct
+/// payloads serialize to the same word stream. field() has one overload
+/// per field type that a RequestTraits visit() lists.
 struct DigestBuilder {
   std::uint64_t lo = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   std::uint64_t hi = 0x6a09e667f3bcc909ULL;  // frac(sqrt(2))
@@ -33,88 +35,50 @@ struct DigestBuilder {
     hi = mix((hi + w) * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
   }
 
-  void words32(std::span<const std::int32_t> v) {
-    word(static_cast<std::uint64_t>(v.size()));
-    for (const std::int32_t x : v) {
+  template <typename Enum>
+    requires std::is_enum_v<Enum>
+  void field(Enum e) {
+    word(static_cast<std::uint64_t>(e));
+  }
+
+  void field(bool flag) { word(flag ? 1 : 0); }
+
+  void field(const Perm& p) {
+    word(static_cast<std::uint64_t>(p.cols()));
+    const std::span<const std::int32_t> rows = p.row_to_col();
+    word(static_cast<std::uint64_t>(rows.size()));
+    for (const std::int32_t x : rows) {
       word(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
     }
   }
 
-  void words64(std::span<const std::int64_t> v) {
+  void field(const std::vector<std::int64_t>& v) {
     word(static_cast<std::uint64_t>(v.size()));
     for (const std::int64_t x : v) word(static_cast<std::uint64_t>(x));
   }
 
-  RequestDigest digest() const { return {lo, hi}; }
+  void field(const std::vector<std::pair<std::int64_t, std::int64_t>>& v) {
+    word(static_cast<std::uint64_t>(v.size()));
+    for (const auto& [l, r] : v) {
+      word(static_cast<std::uint64_t>(l));
+      word(static_cast<std::uint64_t>(r));
+    }
+  }
+
+  // The index id is process-unique and never reused, so it stands in for
+  // the whole indexed payload.
+  void field(const QueryHandle& h) { word(h.id()); }
 };
 
 }  // namespace
 
-RequestDigest request_digest(const MultiplyRequest& req) {
+template <SolverRequest Req>
+RequestDigest request_digest(const Req& req) {
   DigestBuilder b;
-  b.word('M');
-  b.word(static_cast<std::uint64_t>(req.kind));
-  b.word(static_cast<std::uint64_t>(req.a.cols()));
-  b.words32(req.a.row_to_col());
-  b.word(static_cast<std::uint64_t>(req.b.cols()));
-  b.words32(req.b.row_to_col());
-  return b.digest();
-}
-
-RequestDigest request_digest(const LisRequest& req) {
-  DigestBuilder b;
-  b.word('L');
-  b.words64(req.seq);
-  b.word(req.want_kernel ? 1 : 0);
-  b.word(static_cast<std::uint64_t>(req.windows.size()));
-  for (const auto& [l, r] : req.windows) {
-    b.word(static_cast<std::uint64_t>(l));
-    b.word(static_cast<std::uint64_t>(r));
-  }
-  return b.digest();
-}
-
-RequestDigest request_digest(const LcsRequest& req) {
-  DigestBuilder b;
-  b.word('C');
-  b.words64(req.s);
-  b.words64(req.t);
-  return b.digest();
-}
-
-RequestDigest request_digest(const BuildIndexRequest& req) {
-  DigestBuilder b;
-  b.word('B');
-  b.word(static_cast<std::uint64_t>(req.kind));
-  b.words64(req.seq);
-  b.words64(req.t);
-  return b.digest();
-}
-
-RequestDigest request_digest(const WindowLisQuery& req) {
-  DigestBuilder b;
-  b.word('W');
-  // The index id is process-unique and never reused, so the digest can
-  // stand in for the whole indexed payload.
-  b.word(req.handle.id());
-  b.word(static_cast<std::uint64_t>(req.windows.size()));
-  for (const auto& [l, r] : req.windows) {
-    b.word(static_cast<std::uint64_t>(l));
-    b.word(static_cast<std::uint64_t>(r));
-  }
-  return b.digest();
-}
-
-RequestDigest request_digest(const SubstringLcsQuery& req) {
-  DigestBuilder b;
-  b.word('S');
-  b.word(req.handle.id());
-  b.word(static_cast<std::uint64_t>(req.substrings.size()));
-  for (const auto& [i, j] : req.substrings) {
-    b.word(static_cast<std::uint64_t>(i));
-    b.word(static_cast<std::uint64_t>(j));
-  }
-  return b.digest();
+  b.word(static_cast<std::uint64_t>(RequestTraits<Req>::kTag));
+  RequestTraits<Req>::visit(
+      req, [&b](const auto&... fields) { (b.field(fields), ...); });
+  return {b.lo, b.hi};
 }
 
 // ---------------------------------------------------------------------------
@@ -176,51 +140,20 @@ void SolverService::worker_loop() {
 // Cache + lanes.
 // ---------------------------------------------------------------------------
 
-template <>
-SolverService::Lane<MultiplyRequest, MultiplyResult>&
-SolverService::lane<MultiplyRequest, MultiplyResult>() {
-  return multiply_lane_;
-}
-template <>
-SolverService::Lane<LisRequest, LisResult>&
-SolverService::lane<LisRequest, LisResult>() {
-  return lis_lane_;
-}
-template <>
-SolverService::Lane<LcsRequest, LcsResult>&
-SolverService::lane<LcsRequest, LcsResult>() {
-  return lcs_lane_;
-}
-template <>
-SolverService::Lane<BuildIndexRequest, BuildIndexResult>&
-SolverService::lane<BuildIndexRequest, BuildIndexResult>() {
-  return build_index_lane_;
-}
-template <>
-SolverService::Lane<WindowLisQuery, WindowLisResult>&
-SolverService::lane<WindowLisQuery, WindowLisResult>() {
-  return window_lis_lane_;
-}
-template <>
-SolverService::Lane<SubstringLcsQuery, SubstringLcsResult>&
-SolverService::lane<SubstringLcsQuery, SubstringLcsResult>() {
-  return substring_lcs_lane_;
-}
-
-template <typename Request, typename Result>
-const Result* SolverService::cache_find_locked(RequestDigest key) {
-  auto& ln = lane<Request, Result>();
+template <typename Req>
+const RequestResult<Req>* SolverService::cache_find_locked(RequestDigest key) {
+  auto& ln = lane<Req>();
   const auto it = ln.cache.find(key);
   if (it == ln.cache.end()) return nullptr;
   ln.lru.splice(ln.lru.begin(), ln.lru, it->second);  // refresh recency
   return &it->second->second;
 }
 
-template <typename Request, typename Result>
+template <typename Req>
 void SolverService::cache_insert_locked(RequestDigest key,
-                                        const Result& value) {
+                                        const RequestResult<Req>& value) {
   if (options_.cache_capacity == 0) return;
-  auto& ln = lane<Request, Result>();
+  auto& ln = lane<Req>();
   if (const auto it = ln.cache.find(key); it != ln.cache.end()) {
     it->second->second = value;
     ln.lru.splice(ln.lru.begin(), ln.lru, it->second);
@@ -238,9 +171,10 @@ void SolverService::cache_insert_locked(RequestDigest key,
 // Jobs.
 // ---------------------------------------------------------------------------
 
-template <bool IsTry, typename Request, typename Result>
-void SolverService::run_job(Solver& solver, const Request& req,
-                            RequestDigest key, RequestDigest flight_key) {
+template <bool IsTry, typename Req>
+void SolverService::run_job(Solver& solver, const Req& req, RequestDigest key,
+                            RequestDigest flight_key) {
+  using Result = RequestResult<Req>;
   if (options_.solve_hook) options_.solve_hook();
   if constexpr (!IsTry) {
     Result value{};
@@ -255,13 +189,13 @@ void SolverService::run_job(Solver& solver, const Request& req,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.solves;
       if (error) ++stats_.solve_errors;
-      auto& ln = lane<Request, Result>();
+      auto& ln = lane<Req>();
       const auto it = ln.in_flight.find(flight_key);
       waiters = std::move(it->second->solve_waiters);
       ln.in_flight.erase(it);
       // Errors are never cached: faults and space overruns depend on
       // mutable cluster state, so a retry can legitimately succeed.
-      if (!error) cache_insert_locked<Request, Result>(key, value);
+      if (!error) cache_insert_locked<Req>(key, value);
     }
     for (auto& p : waiters) {
       if (error) {
@@ -277,7 +211,7 @@ void SolverService::run_job(Solver& solver, const Request& req,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.solves;
       if (!res.report.ok()) ++stats_.solve_errors;
-      auto& ln = lane<Request, Result>();
+      auto& ln = lane<Req>();
       const auto it = ln.in_flight.find(flight_key);
       waiters = std::move(it->second->try_waiters);
       ln.in_flight.erase(it);
@@ -285,7 +219,7 @@ void SolverService::run_job(Solver& solver, const Request& req,
       // (zero rounds/reports), so they must not satisfy future requests
       // that expect a healthy MpcSim answer.
       if (res.report.ok() && !res.report.degraded) {
-        cache_insert_locked<Request, Result>(key, res.value);
+        cache_insert_locked<Req>(key, res.value);
       }
     }
     for (auto& p : waiters) p.set_value(res);
@@ -296,9 +230,11 @@ void SolverService::run_job(Solver& solver, const Request& req,
 // Admission.
 // ---------------------------------------------------------------------------
 
-template <bool IsTry, typename Request, typename Result>
-std::conditional_t<IsTry, Submission<Result>, std::future<Result>>
-SolverService::submit_impl(Request req) {
+template <bool IsTry, typename Req>
+std::conditional_t<IsTry, Submission<RequestResult<Req>>,
+                   std::future<RequestResult<Req>>>
+SolverService::submit_impl(Req req) {
+  using Result = RequestResult<Req>;
   using Ret = std::conditional_t<IsTry, Submission<Result>, std::future<Result>>;
 
   const RequestDigest key = request_digest(req);
@@ -328,7 +264,7 @@ SolverService::submit_impl(Request req) {
     if (shutdown_) return reject("SolverService is shutting down");
 
     // 1) Completed identical request in the result cache.
-    if (const Result* hit = cache_find_locked<Request, Result>(key)) {
+    if (const Result* hit = cache_find_locked<Req>(key)) {
       ++stats_.cache_hits;
       if constexpr (IsTry) {
         TrySolveResult<Result> res;
@@ -349,7 +285,7 @@ SolverService::submit_impl(Request req) {
     }
 
     // 2) Identical request already in flight: attach, consume no slot.
-    auto& ln = lane<Request, Result>();
+    auto& ln = lane<Req>();
     if (const auto it = ln.in_flight.find(flight_key);
         it != ln.in_flight.end()) {
       ++stats_.coalesced;
@@ -392,59 +328,37 @@ SolverService::submit_impl(Request req) {
     ret = p.get_future();
     flight->solve_waiters.push_back(std::move(p));
   }
-  lane<Request, Result>().in_flight.emplace(flight_key, std::move(flight));
+  lane<Req>().in_flight.emplace(flight_key, std::move(flight));
   ++stats_.admitted;
   queue_.push_back(
       [this, req = std::move(req), key, flight_key](Solver& solver) {
-        run_job<IsTry, Request, Result>(solver, req, key, flight_key);
+        run_job<IsTry, Req>(solver, req, key, flight_key);
       });
   lock.unlock();
   queue_cv_.notify_one();
   return ret;
 }
 
-std::future<MultiplyResult> SolverService::submit(MultiplyRequest req) {
-  return submit_impl<false, MultiplyRequest, MultiplyResult>(std::move(req));
-}
-std::future<LisResult> SolverService::submit(LisRequest req) {
-  return submit_impl<false, LisRequest, LisResult>(std::move(req));
-}
-std::future<LcsResult> SolverService::submit(LcsRequest req) {
-  return submit_impl<false, LcsRequest, LcsResult>(std::move(req));
-}
-std::future<BuildIndexResult> SolverService::submit(BuildIndexRequest req) {
-  return submit_impl<false, BuildIndexRequest, BuildIndexResult>(
-      std::move(req));
-}
-std::future<WindowLisResult> SolverService::submit(WindowLisQuery req) {
-  return submit_impl<false, WindowLisQuery, WindowLisResult>(std::move(req));
-}
-std::future<SubstringLcsResult> SolverService::submit(SubstringLcsQuery req) {
-  return submit_impl<false, SubstringLcsQuery, SubstringLcsResult>(
-      std::move(req));
+template <SolverRequest Req>
+std::future<RequestResult<Req>> SolverService::submit(Req req) {
+  return submit_impl<false>(std::move(req));
 }
 
-Submission<MultiplyResult> SolverService::try_submit(MultiplyRequest req) {
-  return submit_impl<true, MultiplyRequest, MultiplyResult>(std::move(req));
+template <SolverRequest Req>
+Submission<RequestResult<Req>> SolverService::try_submit(Req req) {
+  return submit_impl<true>(std::move(req));
 }
-Submission<LisResult> SolverService::try_submit(LisRequest req) {
-  return submit_impl<true, LisRequest, LisResult>(std::move(req));
-}
-Submission<LcsResult> SolverService::try_submit(LcsRequest req) {
-  return submit_impl<true, LcsRequest, LcsResult>(std::move(req));
-}
-Submission<BuildIndexResult> SolverService::try_submit(BuildIndexRequest req) {
-  return submit_impl<true, BuildIndexRequest, BuildIndexResult>(
-      std::move(req));
-}
-Submission<WindowLisResult> SolverService::try_submit(WindowLisQuery req) {
-  return submit_impl<true, WindowLisQuery, WindowLisResult>(std::move(req));
-}
-Submission<SubstringLcsResult> SolverService::try_submit(
-    SubstringLcsQuery req) {
-  return submit_impl<true, SubstringLcsQuery, SubstringLcsResult>(
-      std::move(req));
-}
+
+// The templates are defined only here, so every request kind's
+// instantiation is emitted here.
+#define MONGE_INSTANTIATE_SERVICE(Req)                                     \
+  template RequestDigest request_digest(const Req&);                       \
+  template std::future<typename RequestTraits<Req>::Result>                \
+  SolverService::submit(Req);                                              \
+  template Submission<typename RequestTraits<Req>::Result>                 \
+  SolverService::try_submit(Req);
+MONGE_REQUEST_KINDS(MONGE_INSTANTIATE_SERVICE)
+#undef MONGE_INSTANTIATE_SERVICE
 
 ServiceStats SolverService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);

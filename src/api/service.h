@@ -2,10 +2,10 @@
 //
 // Solver (api/solver.h) is deliberately synchronous and single-tenant: one
 // engine arena, one cluster, one request at a time. SolverService is the
-// layer the ROADMAP's "traffic from millions of users" north star needs on
-// top of it: submit(Request) -> std::future<Result> over a pool of N
-// workers, EACH owning a private Solver (per-worker engines, so arenas
-// never contend and MpcSim clusters never interleave requests), with
+// concurrent layer on top of it: submit(Request) -> std::future<Result>
+// over a pool of N workers, EACH owning a private Solver (per-worker
+// engines, so arenas never contend and MpcSim clusters never interleave
+// requests), with
 //
 //   * bounded admission — a request queue of configurable depth. When it
 //     is full, submit() either blocks until a slot frees
@@ -24,7 +24,7 @@
 //     direction (Gawrychowski–Mozes–Weimann, arXiv 1307.2313).
 //
 //   * a result cache — completed results enter an LRU-bounded,
-//     digest-keyed cache (cache_capacity entries per request type); a
+//     digest-keyed cache (one lane per kind, cache_capacity entries each); a
 //     later identical request is fulfilled immediately with a copy, bit-
 //     identical to a fresh solve (pinned in tests/test_service.cpp).
 //     try_submit marks such answers report.cached. Degraded results
@@ -40,6 +40,9 @@
 // Because the two flavors have different failure semantics (throw vs
 // degrade), they coalesce only with in-flight requests of the SAME flavor;
 // both share the result cache.
+//
+// Every request kind in MONGE_REQUEST_KINDS (api/request.h) is served by
+// the same templates: the service has no per-kind code.
 //
 // Lifecycle: the destructor stops admitting, wakes blocked submitters
 // (they observe the shutdown and refuse), DRAINS every already-admitted
@@ -60,6 +63,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -81,23 +85,15 @@ struct RequestDigest {
   friend bool operator==(const RequestDigest&, const RequestDigest&) = default;
 };
 
-/// Digest of a multiply request: kind, shapes and both row->col arrays,
-/// length-prefixed so concatenation ambiguities cannot collide.
-RequestDigest request_digest(const MultiplyRequest& req);
-/// Digest of a LIS request: sequence, want_kernel flag and windows.
-RequestDigest request_digest(const LisRequest& req);
-/// Digest of an LCS request: both sequences, length-prefixed.
-RequestDigest request_digest(const LcsRequest& req);
-/// Digest of an index build: kind plus both sequences. Identical builds
-/// digest equally, so the service dedups/caches them onto ONE shared
-/// index — the handle lifecycle the query tier documents.
-RequestDigest request_digest(const BuildIndexRequest& req);
-/// Digest of a window-LIS query batch: the index's process-unique id()
-/// (never reused, so a cached answer can never alias a different index)
-/// plus the windows.
-RequestDigest request_digest(const WindowLisQuery& req);
-/// Digest of a substring-LCS query batch: index id() plus the substrings.
-RequestDigest request_digest(const SubstringLcsQuery& req);
+/// Digest of a request: its kind's RequestTraits tag, then every field its
+/// RequestTraits visit() lists, in order. Every variable-length field is
+/// preceded by its length (a permutation by its column count, then its
+/// row->col array), so no two distinct requests serialize to the same
+/// words. A query handle contributes the index's process-unique id().
+/// Identical index builds therefore digest equally, and the service
+/// dedups/caches them onto ONE shared index.
+template <SolverRequest Req>
+RequestDigest request_digest(const Req& req);
 
 /// What submit() does when the bounded queue is at queue_depth.
 enum class AdmissionPolicy {
@@ -122,9 +118,8 @@ struct ServiceOptions {
   std::size_t queue_depth = 256;
   /// Full-queue behavior of submit()/try_submit().
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Result-cache capacity in entries PER request type (multiply/LIS/LCS
-  /// results are cached in separate LRU maps). 0 disables caching;
-  /// in-flight dedup still applies.
+  /// Result-cache capacity in entries per request kind (one lane per
+  /// kind). 0 disables caching; in-flight dedup still applies.
   std::size_t cache_capacity = 1024;
   /// Test/telemetry seam: when set, every worker calls this immediately
   /// before each underlying solve (on the worker thread). Must not throw.
@@ -187,17 +182,8 @@ class SolverService {
   /// result cache or an in-flight identical computation when possible;
   /// otherwise admitted under the configured policy — throws
   /// OverloadedError when refused (kReject and full, or shutting down).
-  std::future<MultiplyResult> submit(MultiplyRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<LisResult> submit(LisRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<LcsResult> submit(LcsRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<BuildIndexResult> submit(BuildIndexRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<WindowLisResult> submit(WindowLisQuery req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<SubstringLcsResult> submit(SubstringLcsQuery req);
+  template <SolverRequest Req>
+  std::future<RequestResult<Req>> submit(Req req);
 
   /// Asynchronous Solver::try_solve(): never throws for taxonomy errors.
   /// Admission refusals come back synchronously in Submission::admission
@@ -205,17 +191,8 @@ class SolverService {
   /// TrySolveResult — including MpcSim degradation, exactly as
   /// Solver::try_solve reports it. Cache hits resolve immediately with
   /// report.cached = true.
-  Submission<MultiplyResult> try_submit(MultiplyRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<LisResult> try_submit(LisRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<LcsResult> try_submit(LcsRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<BuildIndexResult> try_submit(BuildIndexRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<WindowLisResult> try_submit(WindowLisQuery req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<SubstringLcsResult> try_submit(SubstringLcsQuery req);
+  template <SolverRequest Req>
+  Submission<RequestResult<Req>> try_submit(Req req);
 
   /// A consistent snapshot of the service counters.
   ServiceStats stats() const;
@@ -241,12 +218,13 @@ class SolverService {
     }
   };
 
-  /// Per-request-type state: the in-flight table (keyed by digest with the
+  /// Per-kind state: the in-flight table (keyed by digest with the
   /// submit/try flavor mixed in — the flavors have different failure
   /// semantics, so they never coalesce with each other) and the LRU result
   /// cache (keyed by the pure digest — both flavors share values).
-  template <typename Request, typename Result>
+  template <typename Req>
   struct Lane {
+    using Result = RequestResult<Req>;
     using FlightPtr = std::shared_ptr<Flight<Result>>;
     std::unordered_map<RequestDigest, FlightPtr, DigestHash> in_flight;
     std::list<std::pair<RequestDigest, Result>> lru;  // front = most recent
@@ -257,24 +235,26 @@ class SolverService {
         cache;
   };
 
-  template <typename Request, typename Result>
-  Lane<Request, Result>& lane();
+  template <typename Req>
+  Lane<Req>& lane() {
+    return std::get<Lane<Req>>(lanes_);
+  }
 
-  /// Shared submit machinery; IsTry selects the flavor. Defined in
-  /// service.cpp (only instantiated there).
-  template <bool IsTry, typename Request, typename Result>
-  std::conditional_t<IsTry, Submission<Result>, std::future<Result>>
-  submit_impl(Request req);
+  /// Shared submit machinery; IsTry selects the flavor.
+  template <bool IsTry, typename Req>
+  std::conditional_t<IsTry, Submission<RequestResult<Req>>,
+                     std::future<RequestResult<Req>>>
+  submit_impl(Req req);
 
   /// Runs one admitted job on a worker's Solver and fulfills its waiters.
-  template <bool IsTry, typename Request, typename Result>
-  void run_job(Solver& solver, const Request& req, RequestDigest key,
+  template <bool IsTry, typename Req>
+  void run_job(Solver& solver, const Req& req, RequestDigest key,
                RequestDigest flight_key);
 
-  template <typename Request, typename Result>
-  const Result* cache_find_locked(RequestDigest key);
-  template <typename Request, typename Result>
-  void cache_insert_locked(RequestDigest key, const Result& value);
+  template <typename Req>
+  const RequestResult<Req>* cache_find_locked(RequestDigest key);
+  template <typename Req>
+  void cache_insert_locked(RequestDigest key, const RequestResult<Req>& value);
 
   void worker_loop();
 
@@ -285,16 +265,10 @@ class SolverService {
   std::deque<std::function<void(Solver&)>> queue_;
   bool shutdown_ = false;
   ServiceStats stats_;
-  Lane<MultiplyRequest, MultiplyResult> multiply_lane_;
-  Lane<LisRequest, LisResult> lis_lane_;
-  Lane<LcsRequest, LcsResult> lcs_lane_;
-  /// The query tier's lanes: cached BuildIndexResults keep their handles
-  /// (and through them the shared indexes) alive while hot, so identical
-  /// builds from many clients resolve to ONE index; query batches cache
-  /// like any other result, keyed on (index id, windows).
-  Lane<BuildIndexRequest, BuildIndexResult> build_index_lane_;
-  Lane<WindowLisQuery, WindowLisResult> window_lis_lane_;
-  Lane<SubstringLcsQuery, SubstringLcsResult> substring_lcs_lane_;
+  /// One lane per request kind. Cached BuildIndexResults keep their
+  /// handles (and through them the shared indexes) alive while hot, so
+  /// identical builds from many clients resolve to ONE index.
+  RequestKinds::map<Lane> lanes_;
   /// Last member: its destructor joins the worker loops, which may touch
   /// every field above while draining.
   std::unique_ptr<ThreadPool> pool_;

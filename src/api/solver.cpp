@@ -14,7 +14,6 @@
 #include "lis/kernel.h"
 #include "lis/mpc_lis.h"
 #include "lis/sequential.h"
-#include "monge/seaweed.h"
 #include "monge/subperm.h"
 #include "util/check.h"
 
@@ -38,9 +37,9 @@ void validate_multiply_shape(const MultiplyRequest& req) {
       "MultiplyRequest.kind is not a valid Kind");
 }
 
-/// Full-permutation content check for kFull requests routed to delegates
-/// that take raw arrays on trust (the reference recursion, the engine's
-/// release-mode batch entry points).
+/// Full-permutation content check for kFull requests routed to the
+/// engine's release-mode batch entry point, which takes raw arrays on
+/// trust.
 void validate_multiply_full(const MultiplyRequest& req) {
   if (req.kind == MultiplyKind::kFull) {
     MONGE_CHECK_MSG(req.a.is_full_permutation() && req.b.is_full_permutation(),
@@ -63,8 +62,6 @@ const char* solver_backend_name(SolverBackend backend) {
       return "sequential";
     case SolverBackend::kMpcSim:
       return "mpc-sim";
-    case SolverBackend::kReference:
-      return "reference";
   }
   MONGE_CHECK_MSG(false, "invalid SolverBackend");
 }
@@ -95,8 +92,7 @@ Solver::Solver(SolverOptions options)
     if (!ok) throw InvalidRequestError(what);
   };
   require(options_.backend == SolverBackend::kSequential ||
-              options_.backend == SolverBackend::kMpcSim ||
-              options_.backend == SolverBackend::kReference,
+              options_.backend == SolverBackend::kMpcSim,
           "SolverOptions.backend is not a valid SolverBackend");
   require(options_.cluster.num_machines >= 0,
           "SolverOptions.cluster.num_machines must be >= 0 (0 = "
@@ -151,10 +147,6 @@ lis::MpcLisOptions Solver::mpc_lis_options() const {
   return o;
 }
 
-MultiplyResult Solver::solve(const MultiplyRequest& req) {
-  return solve_on(options_.backend, req);
-}
-
 MultiplyResult Solver::solve_on(SolverBackend backend,
                                 const MultiplyRequest& req) {
   validate_multiply_shape(req);
@@ -164,15 +156,6 @@ MultiplyResult Solver::solve_on(SolverBackend backend,
       out.c = req.kind == MultiplyKind::kFull
                   ? engine_.multiply(req.a, req.b)  // validates content
                   : subunit_multiply(req.a, req.b, engine_);
-      break;
-    case SolverBackend::kReference:
-      validate_multiply_full(req);  // the raw reference takes inputs on trust
-      out.c = req.kind == MultiplyKind::kFull
-                  ? Perm::from_rows(
-                        seaweed_multiply_reference_raw(req.a.row_to_col(),
-                                                       req.b.row_to_col()),
-                        req.b.cols())
-                  : subunit_multiply_padded(req.a, req.b, engine_);
       break;
     case SolverBackend::kMpcSim: {
       mpc::Cluster& cluster = provisioned_cluster(mpc_multiply_size(req));
@@ -243,9 +226,6 @@ std::vector<MultiplyResult> Solver::solve_batch(
       }
       break;
     }
-    case SolverBackend::kReference:
-      for (std::size_t i = 0; i < reqs.size(); ++i) out[i] = solve(reqs[i]);
-      break;
     case SolverBackend::kMpcSim: {
       // One *_batch cluster call per kind; every pair of a kind group
       // shares rounds, and every result of the group carries the group's
@@ -288,10 +268,6 @@ std::vector<MultiplyResult> Solver::solve_batch(
   return out;
 }
 
-LisResult Solver::solve(const LisRequest& req) {
-  return solve_on(options_.backend, req);
-}
-
 LisResult Solver::solve_on(SolverBackend backend, const LisRequest& req) {
   LisResult out;
   const bool need_kernel = req.want_kernel || !req.windows.empty();
@@ -307,16 +283,6 @@ LisResult Solver::solve_on(SolverBackend backend, const LisRequest& req) {
         if (req.want_kernel) out.kernel = std::move(kernel);
       } else {
         out.lis = lis::lis_length(req.seq);
-      }
-      break;
-    case SolverBackend::kReference:
-      out.lis = lis::lis_length_dp(req.seq);
-      if (req.want_kernel) {
-        out.kernel = lis::lis_kernel_reference(
-            lis::rank_reduce_strict(req.seq), engine_);
-      }
-      if (!req.windows.empty()) {
-        out.window_lis = lis::lis_window_batch(req.seq, req.windows);
       }
       break;
     case SolverBackend::kMpcSim: {
@@ -369,10 +335,6 @@ std::vector<LisResult> Solver::solve_batch(std::span<const LisRequest> reqs) {
   return out;
 }
 
-LcsResult Solver::solve(const LcsRequest& req) {
-  return solve_on(options_.backend, req);
-}
-
 LcsResult Solver::solve_on(SolverBackend backend, const LcsRequest& req) {
   LcsResult out;
   switch (backend) {
@@ -384,13 +346,6 @@ LcsResult Solver::solve_on(SolverBackend backend, const LcsRequest& req) {
       out.lcs = lis::lis_length(seq);
       break;
     }
-    case SolverBackend::kReference:
-      // Counting matches does not need the (worst-case |s|·|t|-sized)
-      // match sequence itself — hs_match_count streams the occurrence
-      // table instead of materializing it just to read .size().
-      out.matches = lcs::hs_match_count(req.s, req.t);
-      out.lcs = lcs::lcs_dp(req.s, req.t);
-      break;
     case SolverBackend::kMpcSim: {
       // The cluster must be provisioned for the match count (the paper's
       // m = n^{1+δ} regime) — the match sequence is the LIS input, so it
@@ -478,10 +433,6 @@ std::vector<LcsResult> Solver::solve_batch(std::span<const LcsRequest> reqs) {
   return out;
 }
 
-BuildIndexResult Solver::solve(const BuildIndexRequest& req) {
-  return solve_on(options_.backend, req);
-}
-
 BuildIndexResult Solver::solve_on(SolverBackend backend,
                                   const BuildIndexRequest& req) {
   using Kind = BuildIndexRequest::Kind;
@@ -503,24 +454,6 @@ BuildIndexResult Solver::solve_on(SolverBackend backend,
               ? query::SemiLocalIndex::from_sequence(req.seq, engine_)
               : query::SemiLocalIndex::from_lcs_pair(req.seq, req.t, engine_));
       break;
-    case SolverBackend::kReference: {
-      // The depth-first reference kernel builder; bit-identical to the
-      // level-order one (pinned in test_lis.cpp), so the index is too.
-      if (req.kind == Kind::kWindowLis) {
-        const Perm kernel = lis::lis_kernel_reference(
-            lis::rank_reduce_strict(req.seq), engine_);
-        index = std::make_shared<query::SemiLocalIndex>(
-            query::SemiLocalIndex::from_kernel(kernel));
-      } else {
-        const lcs::HsOccurrences occ(req.t);
-        const Perm kernel = lis::lis_kernel_reference(
-            lis::rank_reduce_strict(occ.match_sequence(req.seq)), engine_);
-        index = std::make_shared<query::SemiLocalIndex>(
-            query::SemiLocalIndex::from_lcs_kernel(
-                kernel, occ.match_row_starts(req.seq)));
-      }
-      break;
-    }
     case SolverBackend::kMpcSim: {
       // The kernel is built on the cluster (Theorem 1.3); the index
       // adaptation itself is local and round-free.
@@ -552,10 +485,6 @@ BuildIndexResult Solver::solve_on(SolverBackend backend,
   return out;
 }
 
-WindowLisResult Solver::solve(const WindowLisQuery& req) {
-  return solve_on(options_.backend, req);
-}
-
 WindowLisResult Solver::solve_on(SolverBackend /*backend*/,
                                  const WindowLisQuery& req) {
   if (!req.handle.valid()) {
@@ -567,10 +496,6 @@ WindowLisResult Solver::solve_on(SolverBackend /*backend*/,
         "SubstringLcsQuery)");
   }
   return {req.handle.index->window_lis_batch(req.windows)};
-}
-
-SubstringLcsResult Solver::solve(const SubstringLcsQuery& req) {
-  return solve_on(options_.backend, req);
 }
 
 SubstringLcsResult Solver::solve_on(SolverBackend /*backend*/,
@@ -606,9 +531,9 @@ SolveStatus status_of(const Error& e) {
 
 }  // namespace
 
-template <typename Result, typename Request>
-TrySolveResult<Result> Solver::try_solve_impl(const Request& req) {
-  TrySolveResult<Result> out;
+template <SolverRequest Req>
+TrySolveResult<RequestResult<Req>> Solver::try_solve(const Req& req) {
+  TrySolveResult<RequestResult<Req>> out;
   out.report.backend = options_.backend;
 
   // The recovery counters accumulate across requests on one cluster, so
@@ -680,30 +605,12 @@ TrySolveResult<Result> Solver::try_solve_impl(const Request& req) {
   return out;
 }
 
-TrySolveResult<MultiplyResult> Solver::try_solve(const MultiplyRequest& req) {
-  return try_solve_impl<MultiplyResult>(req);
-}
-
-TrySolveResult<LisResult> Solver::try_solve(const LisRequest& req) {
-  return try_solve_impl<LisResult>(req);
-}
-
-TrySolveResult<LcsResult> Solver::try_solve(const LcsRequest& req) {
-  return try_solve_impl<LcsResult>(req);
-}
-
-TrySolveResult<BuildIndexResult> Solver::try_solve(
-    const BuildIndexRequest& req) {
-  return try_solve_impl<BuildIndexResult>(req);
-}
-
-TrySolveResult<WindowLisResult> Solver::try_solve(const WindowLisQuery& req) {
-  return try_solve_impl<WindowLisResult>(req);
-}
-
-TrySolveResult<SubstringLcsResult> Solver::try_solve(
-    const SubstringLcsQuery& req) {
-  return try_solve_impl<SubstringLcsResult>(req);
-}
+// try_solve is defined only here, so every request kind's instantiation is
+// emitted here.
+#define MONGE_INSTANTIATE_TRY_SOLVE(Req)                     \
+  template TrySolveResult<typename RequestTraits<Req>::Result> \
+  Solver::try_solve(const Req&);
+MONGE_REQUEST_KINDS(MONGE_INSTANTIATE_TRY_SOLVE)
+#undef MONGE_INSTANTIATE_TRY_SOLVE
 
 }  // namespace monge

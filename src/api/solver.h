@@ -11,21 +11,26 @@
 //
 // Routing table (request × backend → delegate):
 //
-// | Request            | kSequential                    | kMpcSim                          | kReference                  |
-// | ------------------ | ------------------------------ | -------------------------------- | --------------------------- |
-// | Multiply kFull     | SeaweedEngine::multiply        | core::mpc_unit_monge_multiply    | seaweed_multiply_reference_raw |
-// | Multiply kSubunit  | subunit_multiply               | core::mpc_subunit_multiply       | subunit_multiply_padded     |
-// | Multiply batch     | multiply_batch_into /          | core::mpc_*_multiply_batch       | per-pair reference calls    |
-// |                    | subunit_multiply_batch_into    | (rounds shared per level)        |                             |
-// | Lis length-only    | lis::lis_length (patience)     | lis::mpc_lis                     | lis::lis_length_dp          |
-// | Lis kernel         | lis::lis_kernel                | lis::mpc_lis                     | lis::lis_kernel_reference   |
-// | Lis windows        | kernel + kernel_window_lis_batch | mpc_lis kernel + same          | lis::lis_window_batch       |
-// | Lis batch (kernel) | lis::lis_kernel_batch          | per-request mpc_lis              | per-request reference       |
-// | Lcs                | lcs::lcs_hs                    | lcs::mpc_lcs                     | lcs::lcs_dp                 |
-// | BuildIndex         | SemiLocalIndex over lis_kernel | SemiLocalIndex over mpc_lis      | SemiLocalIndex over         |
-// |                    |                                | kernel (rounds reported)         | lis_kernel_reference        |
-// | WindowLis /        | pure index lookups — backend-independent by construction (the index already holds the       |
-// | SubstringLcs query | semi-local distribution; no engine or cluster work on any backend)                          |
+// | Request            | kSequential                      | kMpcSim                         |
+// | ------------------ | -------------------------------- | ------------------------------- |
+// | Multiply kFull     | SeaweedEngine::multiply          | core::mpc_unit_monge_multiply   |
+// | Multiply kSubunit  | subunit_multiply                 | core::mpc_subunit_multiply      |
+// | Multiply batch     | multiply_batch_into /            | core::mpc_*_multiply_batch      |
+// |                    | subunit_multiply_batch_into      | (rounds shared per level)       |
+// | Lis length-only    | lis::lis_length (patience)       | lis::mpc_lis                    |
+// | Lis kernel         | lis::lis_kernel                  | lis::mpc_lis                    |
+// | Lis windows        | kernel + kernel_window_lis_batch | mpc_lis kernel + same           |
+// | Lis batch (kernel) | lis::lis_kernel_batch            | per-request mpc_lis             |
+// | Lcs                | lcs::lcs_hs                      | lcs::mpc_lcs                    |
+// | BuildIndex         | SemiLocalIndex over lis_kernel   | SemiLocalIndex over mpc_lis     |
+// |                    |                                  | kernel (rounds reported)        |
+// | WindowLis /        | pure index lookups — backend-independent by construction (the    |
+// | SubstringLcs query | index already holds the semi-local distribution)                  |
+//
+// The reference oracles (seaweed_multiply_reference_raw,
+// subunit_multiply_padded, lis_kernel_reference, lis_length_dp,
+// lis_window_batch, lcs_dp) are not routes: the tests call them directly
+// and compare them with these routes.
 //
 // Batching contract: a Sequential solve_batch costs exactly one batched
 // engine call per request kind — MultiplyRequest batches group into at
@@ -93,14 +98,10 @@ enum class SolverBackend {
   /// The paper's MPC algorithms on the simulated cluster (rounds/space
   /// accounting in the results).
   kMpcSim = 1,
-  /// The retained reference oracles (textbook recursion, padded subunit
-  /// reduction, depth-first kernel, DP/patience oracles) — for
-  /// differential testing; asymptotically slower on some routes.
-  kReference = 2,
 };
 
-/// @return a stable human-readable name ("sequential", "mpc-sim",
-///     "reference") for logging and bench labels.
+/// @return a stable human-readable name ("sequential", "mpc-sim") for
+///     logging and bench labels.
 const char* solver_backend_name(SolverBackend backend);
 
 /// Outcome classification of a try_solve / try_submit call — the ErrorCode
@@ -137,12 +138,12 @@ struct SolveReport {
   std::string message;
   /// Recovery activity this request caused on the MpcSim cluster
   /// (checkpoints, re-executed rounds, masked message faults) — a
-  /// per-request delta, zeros for non-MpcSim backends.
+  /// per-request delta, zeros on the Sequential backend.
   mpc::RecoveryStats recovery{};
   /// Representation decisions this request caused on the Solver-owned
   /// engine (dense vs. core-sparse nodes, block outcomes) — a per-request
   /// delta of SeaweedEngine::representation_stats(). Zeros for routes that
-  /// never touch the owned engine (patience/DP oracles, the MpcSim
+  /// never touch the owned engine (patience sorting, the MpcSim
   /// cluster's per-worker engines, index lookups).
   RepresentationStats representation{};
 
@@ -217,50 +218,36 @@ class Solver {
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
-  /// One product PC = PA ⊡ PB (full or subunit). Validates shapes
-  /// (b.rows() == a.cols(); kFull additionally requires full
-  /// permutations). Bit-identical to the delegate in the routing table.
-  MultiplyResult solve(const MultiplyRequest& req);
-
-  /// LIS (strict) of req.seq, plus kernel/window answers when requested.
-  LisResult solve(const LisRequest& req);
-
-  /// LCS of req.s and req.t via the Hunt–Szymanski match sequence.
-  LcsResult solve(const LcsRequest& req);
-
-  /// Builds a query::SemiLocalIndex once (Sequential: lis_kernel on the
-  /// owned engine; Reference: lis_kernel_reference; MpcSim: the
-  /// lis::mpc_lis kernel, rounds reported) and returns it as a shared
-  /// QueryHandle. All backends produce bit-identical indexes. The handle
-  /// is self-owning — no Solver state outlives the call, so handles work
-  /// across Solver instances and service workers.
-  BuildIndexResult solve(const BuildIndexRequest& req);
-
-  /// Answers req.windows against req.handle's index in O(log² n) each —
-  /// no engine work on any backend (the index already holds the semi-local
-  /// distribution). Throws InvalidRequestError on an empty handle or a
-  /// kSubstringLcs-mode index.
-  WindowLisResult solve(const WindowLisQuery& req);
-
-  /// Answers req.substrings against req.handle's kSubstringLcs index.
-  /// Throws InvalidRequestError on an empty handle or a kWindowLis-mode
-  /// index.
-  SubstringLcsResult solve(const SubstringLcsQuery& req);
+  /// Solves one request of any kind in MONGE_REQUEST_KINDS on
+  /// options().backend; the result is bit-identical to the delegate the
+  /// routing table names. A MultiplyRequest whose inner dimensions
+  /// disagree, or whose kFull operands are not full permutations, fails
+  /// the shape check with std::logic_error. A BuildIndexRequest with an
+  /// invalid kind or a non-empty t for kWindowLis, and a query whose
+  /// handle is empty or indexes the other mode, throw
+  /// InvalidRequestError; backend failures throw the rest of the
+  /// monge::Error taxonomy. A BuildIndexRequest returns a self-owning
+  /// QueryHandle: no Solver state outlives the call, so handles work
+  /// across Solver instances and service workers. Query requests do no
+  /// engine work on either backend.
+  template <SolverRequest Req>
+  RequestResult<Req> solve(const Req& req) {
+    return solve_on(options_.backend, req);
+  }
 
   /// Batched products, results in request order. Sequential: at most one
-  /// batched engine call per request kind (one arena sizing each, striped
-  /// across the pool when configured). MpcSim: one *_batch cluster call
-  /// per kind, all pairs sharing rounds (the report in every result of a
-  /// kind group is that group's shared batch report). Reference: per-pair
-  /// reference calls. Bit-identical to per-request solve() on the
-  /// Sequential and Reference backends.
+  /// batched engine call per MultiplyRequest::Kind (one arena sizing each,
+  /// striped across the pool when configured). MpcSim: one *_batch
+  /// cluster call per Kind, all pairs sharing rounds (the report in every
+  /// result of a Kind group is that group's shared batch report). Bit-identical to
+  /// per-request solve() on the Sequential backend.
   std::vector<MultiplyResult> solve_batch(
       std::span<const MultiplyRequest> reqs);
 
   /// Batched LIS, results in request order. Sequential: every kernel the
   /// batch needs is built through ONE lis_kernel_batch forest pass (one
   /// batched engine call per merge level); length-only requests route to
-  /// patience sorting. MpcSim/Reference: per-request solve().
+  /// patience sorting. MpcSim: per-request solve().
   std::vector<LisResult> solve_batch(std::span<const LisRequest> reqs);
 
   /// Batched LCS, results in request order. Sequential: requests are
@@ -268,7 +255,7 @@ class Solver {
   /// per distinct t, identical (s, t) pairs collapse onto one subproblem,
   /// and all distinct match-sequence LIS subproblems ride one
   /// lis_kernel_batch forest pass. Bit-identical to per-request solve().
-  /// MpcSim/Reference: per-request solve().
+  /// MpcSim: per-request solve().
   std::vector<LcsResult> solve_batch(std::span<const LcsRequest> reqs);
 
   /// Non-throwing solve(): classifies any monge::Error into a SolveStatus
@@ -278,17 +265,8 @@ class Solver {
   /// cluster is torn down so the next MpcSim request starts clean. The
   /// report also carries the per-request RecoveryStats delta, so chaos
   /// runs can audit how much recovery work their answer cost.
-  TrySolveResult<MultiplyResult> try_solve(const MultiplyRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<LisResult> try_solve(const LisRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<LcsResult> try_solve(const LcsRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<BuildIndexResult> try_solve(const BuildIndexRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<WindowLisResult> try_solve(const WindowLisQuery& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<SubstringLcsResult> try_solve(const SubstringLcsQuery& req);
+  template <SolverRequest Req>
+  TrySolveResult<RequestResult<Req>> try_solve(const Req& req);
 
   /// @return the options, exactly as validated at construction.
   const SolverOptions& options() const { return options_; }
@@ -307,8 +285,9 @@ class Solver {
   const mpc::Cluster* cluster() const { return cluster_.get(); }
 
  private:
-  /// solve() bodies, parameterized on the backend so try_solve can
-  /// re-route a failed MpcSim request to kSequential.
+  /// The route of each request kind, parameterized on the backend so
+  /// try_solve can re-route a failed MpcSim request to kSequential. A new
+  /// request kind adds its overload here.
   MultiplyResult solve_on(SolverBackend backend, const MultiplyRequest& req);
   LisResult solve_on(SolverBackend backend, const LisRequest& req);
   LcsResult solve_on(SolverBackend backend, const LcsRequest& req);
@@ -317,13 +296,6 @@ class Solver {
   WindowLisResult solve_on(SolverBackend backend, const WindowLisQuery& req);
   SubstringLcsResult solve_on(SolverBackend backend,
                               const SubstringLcsQuery& req);
-
-  /// Shared try_solve machinery: run on options().backend, classify any
-  /// escape into a SolveStatus, degrade MpcSim fault/space failures to
-  /// the Sequential backend. Defined in solver.cpp (only instantiated
-  /// there).
-  template <typename Result, typename Request>
-  TrySolveResult<Result> try_solve_impl(const Request& req);
 
   /// Returns the cluster to use for an MpcSim request of input size n,
   /// (re)provisioning if none exists or the auto-computed config changed.

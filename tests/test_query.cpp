@@ -361,10 +361,14 @@ TEST(SolverQuery, BuildAndQueryBitIdenticalAcrossBackends) {
   const auto seq = family_random(160, rng);
   const Windows windows = fuzz_windows(160, 400, rng);
   const auto want = lis::lis_window_batch(seq, windows);
+  // An index over the depth-first reference kernel answers the same.
+  EXPECT_EQ(SemiLocalIndex::from_kernel(
+                lis::lis_kernel_reference(lis::rank_reduce_strict(seq)))
+                .window_lis_batch(windows),
+            want);
 
   for (const SolverBackend backend :
-       {SolverBackend::kSequential, SolverBackend::kReference,
-        SolverBackend::kMpcSim}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     Solver solver({.backend = backend});
     const BuildIndexResult built = solver.solve(BuildIndexRequest{
         .kind = BuildIndexRequest::Kind::kWindowLis, .seq = seq});
@@ -393,9 +397,16 @@ TEST(SolverQuery, SubstringLcsAcrossBackends) {
         s.begin() + static_cast<std::ptrdiff_t>(j) + 1);
     want.push_back(lcs::lcs_dp(sub, t));
   }
+  // An index over the depth-first reference kernel answers the same.
+  const lcs::HsOccurrences occ(t);
+  EXPECT_EQ(SemiLocalIndex::from_lcs_kernel(
+                lis::lis_kernel_reference(
+                    lis::rank_reduce_strict(occ.match_sequence(s))),
+                occ.match_row_starts(s))
+                .substring_lcs_batch(subs),
+            want);
   for (const SolverBackend backend :
-       {SolverBackend::kSequential, SolverBackend::kReference,
-        SolverBackend::kMpcSim}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     Solver solver({.backend = backend});
     const BuildIndexResult built = solver.solve(BuildIndexRequest{
         .kind = BuildIndexRequest::Kind::kSubstringLcs, .seq = s, .t = t});

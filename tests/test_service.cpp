@@ -1,23 +1,32 @@
-// SolverService: request digests, in-flight dedup (K identical concurrent
-// submits -> exactly one underlying solve), bounded admission (reject and
-// block), LRU result-cache behavior incl. eviction, bit-identity of
-// service answers vs direct Solver::solve on all three backends (fresh and
-// cached), shutdown drain, and the chaos path (unrecoverable MpcSim fault
-// -> degraded report through the future).
+// SolverService: request digests (every field of every kind), the four
+// entry points agreeing on every request kind, in-flight dedup (K
+// identical concurrent submits -> exactly one underlying solve), bounded
+// admission (reject and block), LRU result-cache behavior incl. eviction,
+// bit-identity of service answers vs direct Solver::solve on both backends
+// and vs the reference oracles (fresh and cached), shutdown drain, and the
+// chaos path (unrecoverable MpcSim fault -> degraded report through the
+// future).
 #include "api/service.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <latch>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "lcs/hunt_szymanski.h"
+#include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/seaweed.h"
+#include "query/semilocal_index.h"
+#include "monge/subperm.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -43,6 +52,26 @@ TEST(RequestDigest, IdenticalPayloadsDigestEqually) {
   EXPECT_EQ(request_digest(m1), request_digest(m2));
 }
 
+/// How many fields RequestTraits::visit lists for req.
+template <typename Req>
+std::size_t visited_fields(const Req& req) {
+  return RequestTraits<Req>::visit(
+      req, [](const auto&... fields) { return sizeof...(fields); });
+}
+
+/// Each entry of `perturbed` is `base` with exactly one visited field
+/// changed, one entry per field: every one must move the digest.
+template <typename Req>
+void expect_every_field_digested(const Req& base,
+                                 const std::vector<Req>& perturbed) {
+  ASSERT_EQ(perturbed.size(), visited_fields(base))
+      << "one perturbation per visited field";
+  for (std::size_t i = 0; i < perturbed.size(); ++i) {
+    EXPECT_NE(request_digest(perturbed[i]), request_digest(base))
+        << "field " << i << " of kind " << RequestTraits<Req>::kTag;
+  }
+}
+
 TEST(RequestDigest, DistinguishesPayloadsAndFieldBoundaries) {
   // The s/t split is length-prefixed: moving one element across the
   // boundary must change the digest even though the concatenation agrees.
@@ -50,24 +79,229 @@ TEST(RequestDigest, DistinguishesPayloadsAndFieldBoundaries) {
   const LcsRequest split_b{.s = {1}, .t = {2, 3}};
   EXPECT_NE(request_digest(split_a), request_digest(split_b));
 
+  // Every field that visit() lists matters, on every kind: one row per
+  // kind in MONGE_REQUEST_KINDS (a new kind adds its row). A visitor that
+  // dropped a field (say BuildIndexRequest::kind, which would let the
+  // cache hand a window-LIS index to a substring-LCS build) fails here.
   Rng rng(2);
   const auto seq = random_sequence(32, 100, rng);
-  const LisRequest plain{.seq = seq};
-  const LisRequest kernel{.seq = seq, .want_kernel = true};
-  const LisRequest windowed{.seq = seq, .windows = {{0, 3}}};
-  EXPECT_NE(request_digest(plain), request_digest(kernel));
-  EXPECT_NE(request_digest(plain), request_digest(windowed));
+  const auto other = random_sequence(32, 100, rng);
+  Solver solver;
+  const QueryHandle lis_a =
+      solver.solve(BuildIndexRequest{.seq = {3, 1, 4, 1, 5}}).handle;
+  const QueryHandle lis_b =
+      solver.solve(BuildIndexRequest{.seq = {3, 1, 4, 1, 5}}).handle;
+  const QueryHandle lcs_a =
+      solver
+          .solve(BuildIndexRequest{.kind = BuildIndexRequest::Kind::kSubstringLcs,
+                                   .seq = {1, 2, 3},
+                                   .t = {3, 2, 1}})
+          .handle;
+  const QueryHandle lcs_b =
+      solver
+          .solve(BuildIndexRequest{.kind = BuildIndexRequest::Kind::kSubstringLcs,
+                                   .seq = {1, 2, 3},
+                                   .t = {3, 2, 1}})
+          .handle;
 
-  MultiplyRequest full{Perm::identity(8), Perm::identity(8),
-                       MultiplyRequest::Kind::kFull};
-  MultiplyRequest sub{Perm::identity(8), Perm::identity(8),
-                      MultiplyRequest::Kind::kSubunit};
-  EXPECT_NE(request_digest(full), request_digest(sub));
+  const MultiplyRequest mul{Perm::identity(8), Perm::identity(8)};
+  expect_every_field_digested(
+      mul, {{mul.a, mul.b, MultiplyRequest::Kind::kSubunit},
+            {Perm::reverse(8), mul.b},
+            {mul.a, Perm::reverse(8)}});
 
-  // Different request types never share a digest (type tag word).
+  const LisRequest lis{.seq = seq, .windows = {{0, 3}}};
+  expect_every_field_digested(
+      lis, {{.seq = other, .windows = lis.windows},
+            {.seq = seq, .want_kernel = true, .windows = lis.windows},
+            {.seq = seq, .windows = {{0, 4}}}});
+
+  const LcsRequest lcs{.s = seq, .t = other};
+  expect_every_field_digested(
+      lcs, {{.s = other, .t = other}, {.s = seq, .t = seq}});
+
+  const BuildIndexRequest build{.seq = seq};
+  expect_every_field_digested(
+      build,
+      {{.kind = BuildIndexRequest::Kind::kSubstringLcs, .seq = seq},
+       {.seq = other},
+       {.seq = seq, .t = {1}}});
+
+  const WindowLisQuery win{lis_a, {{0, 3}, {1, 2}}};
+  expect_every_field_digested(
+      win, {{lis_b, win.windows}, {lis_a, {{0, 3}, {1, 3}}}});
+
+  const SubstringLcsQuery sub{lcs_a, {{0, 2}}};
+  expect_every_field_digested(
+      sub, {{lcs_b, sub.substrings}, {lcs_a, {{1, 2}}}});
+
+  // The same words under two kinds' tags never share a digest: the tag
+  // word leads every stream.
+  EXPECT_NE(request_digest(WindowLisQuery{lis_a, {{0, 2}}}),
+            request_digest(SubstringLcsQuery{lis_a, {{0, 2}}}));
+  // [len, seq..., want_kernel = 1, 0 windows] vs [len, s..., |t| = 1, 0].
+  EXPECT_NE(request_digest(LisRequest{.seq = seq, .want_kernel = true}),
+            request_digest(LcsRequest{.s = seq, .t = {0}}));
   const LisRequest lis_like{.seq = {1, 2}};
   const LcsRequest lcs_like{.s = {1, 2}, .t = {}};
   EXPECT_NE(request_digest(lis_like), request_digest(lcs_like));
+}
+
+// ---------------------------------------------------------------------------
+// Every request kind: solve, try_solve, submit and try_submit agree.
+// ---------------------------------------------------------------------------
+
+using Windows = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+/// One sample request of each kind; the query kinds index on `solver`.
+template <typename Req>
+Req sample_request(Solver& solver);
+
+template <>
+MultiplyRequest sample_request(Solver& /*solver*/) {
+  Rng rng(40);
+  return {Perm::random_sub(20, 28, 12, rng), Perm::random_sub(28, 24, 14, rng),
+          MultiplyRequest::Kind::kSubunit};
+}
+
+template <>
+LisRequest sample_request(Solver& /*solver*/) {
+  Rng rng(41);
+  return {.seq = random_sequence(48, 200, rng),
+          .want_kernel = true,
+          .windows = {{0, 10}, {5, 30}, {7, 2}}};
+}
+
+template <>
+LcsRequest sample_request(Solver& /*solver*/) {
+  Rng rng(42);
+  return {.s = random_sequence(24, 6, rng), .t = random_sequence(30, 6, rng)};
+}
+
+template <>
+BuildIndexRequest sample_request(Solver& /*solver*/) {
+  Rng rng(43);
+  return {.kind = BuildIndexRequest::Kind::kSubstringLcs,
+          .seq = random_sequence(20, 5, rng),
+          .t = random_sequence(16, 5, rng)};
+}
+
+template <>
+WindowLisQuery sample_request(Solver& solver) {
+  Rng rng(44);
+  const auto seq = random_sequence(40, 100, rng);
+  return {solver.solve(BuildIndexRequest{.seq = seq}).handle,
+          {{0, 39}, {3, 17}, {9, 4}}};
+}
+
+template <>
+SubstringLcsQuery sample_request(Solver& solver) {
+  return {solver.solve(sample_request<BuildIndexRequest>(solver)).handle,
+          {{0, 19}, {2, 11}, {6, 5}}};
+}
+
+void expect_same(const MultiplyResult& a, const MultiplyResult& b) {
+  EXPECT_EQ(a.c, b.c);
+  EXPECT_EQ(a.report.rounds, b.report.rounds);
+  EXPECT_EQ(a.report.levels, b.report.levels);
+}
+
+void expect_same(const LisResult& a, const LisResult& b) {
+  EXPECT_EQ(a.lis, b.lis);
+  EXPECT_EQ(a.kernel, b.kernel);
+  EXPECT_EQ(a.window_lis, b.window_lis);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.merge_levels, b.merge_levels);
+}
+
+void expect_same(const LcsResult& a, const LcsResult& b) {
+  EXPECT_EQ(a.lcs, b.lcs);
+  EXPECT_EQ(a.matches, b.matches);
+  EXPECT_EQ(a.rounds, b.rounds);
+}
+
+/// Two builds return different handles, so they agree when the shapes and
+/// the answers of every window (or substring) agree.
+void expect_same(const BuildIndexResult& a, const BuildIndexResult& b) {
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.points, b.points);
+  EXPECT_EQ(a.full, b.full);
+  EXPECT_EQ(a.rounds, b.rounds);
+  ASSERT_TRUE(a.handle.valid());
+  ASSERT_TRUE(b.handle.valid());
+  const query::SemiLocalIndex& ia = *a.handle.index;
+  const query::SemiLocalIndex& ib = *b.handle.index;
+  ASSERT_EQ(ia.lcs_mode(), ib.lcs_mode());
+  const std::int64_t len = ia.lcs_mode() ? ia.source_rows() : ia.size();
+  Windows all;
+  for (std::int64_t l = 0; l < len; ++l) {
+    for (std::int64_t r = l; r < len; ++r) all.emplace_back(l, r);
+  }
+  if (ia.lcs_mode()) {
+    EXPECT_EQ(ia.substring_lcs_batch(all), ib.substring_lcs_batch(all));
+  } else {
+    EXPECT_EQ(ia.window_lis_batch(all), ib.window_lis_batch(all));
+  }
+}
+
+void expect_same(const WindowLisResult& a, const WindowLisResult& b) {
+  EXPECT_EQ(a.lis, b.lis);
+}
+
+void expect_same(const SubstringLcsResult& a, const SubstringLcsResult& b) {
+  EXPECT_EQ(a.lcs, b.lcs);
+}
+
+template <typename List>
+struct GtestTypesOf;
+template <typename... Reqs>
+struct GtestTypesOf<RequestList<Reqs...>> {
+  using type = ::testing::Types<Reqs...>;
+};
+
+/// Names each instantiation by its kind's digest tag (EveryRequestKind/M...).
+struct KindTagName {
+  template <typename Req>
+  static std::string GetName(int /*index*/) {
+    return std::string(1, RequestTraits<Req>::kTag);
+  }
+};
+
+template <typename Req>
+class EveryRequestKind : public ::testing::Test {};
+TYPED_TEST_SUITE(EveryRequestKind, GtestTypesOf<RequestKinds>::type,
+                 KindTagName);
+
+TYPED_TEST(EveryRequestKind, SolveTrySolveSubmitAndTrySubmitAgree) {
+  using Req = TypeParam;
+  Solver solver;
+  const Req req = sample_request<Req>(solver);
+  const auto solved = solver.solve(req);
+
+  const auto tried = solver.try_solve(req);
+  ASSERT_TRUE(tried.ok()) << tried.report.message;
+  expect_same(tried.value, solved);
+
+  SolverService submit_service({.workers = 1});
+  expect_same(submit_service.submit(req).get(), solved);
+
+  SolverService try_service({.workers = 1});
+  auto fresh = try_service.try_submit(req);
+  ASSERT_TRUE(fresh.admitted());
+  const auto fresh_res = fresh.future.get();
+  ASSERT_TRUE(fresh_res.ok()) << fresh_res.report.message;
+  EXPECT_FALSE(fresh_res.report.cached);
+  expect_same(fresh_res.value, solved);
+
+  // An identical second try_submit is served from the cache.
+  const std::int64_t hits_before = try_service.stats().cache_hits;
+  auto again = try_service.try_submit(req);
+  ASSERT_TRUE(again.admitted());
+  const auto again_res = again.future.get();
+  EXPECT_TRUE(again_res.report.cached);
+  EXPECT_EQ(try_service.stats().cache_hits, hits_before + 1);
+  EXPECT_EQ(try_service.stats().solves, 1);
+  expect_same(again_res.value, solved);
 }
 
 TEST(SolverService, OptionsValidatedAtConstruction) {
@@ -85,41 +319,51 @@ TEST(SolverService, OptionsValidatedAtConstruction) {
 }
 
 TEST(SolverService, MatchesDirectSolverOnSequentialAndReference) {
-  for (const auto backend :
-       {SolverBackend::kSequential, SolverBackend::kReference}) {
-    Rng rng(10);
-    SolverOptions sopts;
-    sopts.backend = backend;
-    Solver direct(sopts);
-    SolverService service({.solver = sopts, .workers = 2});
+  // Served answers equal the direct Sequential Solver's and the reference
+  // oracles'.
+  Rng rng(10);
+  Solver direct;
+  SolverService service({.workers = 2});
 
-    const MultiplyRequest mul{Perm::random(32, rng), Perm::random(32, rng)};
-    const MultiplyRequest sub{Perm::random_sub(20, 28, 12, rng),
-                              Perm::random_sub(28, 24, 14, rng),
-                              MultiplyRequest::Kind::kSubunit};
-    const LisRequest lis{.seq = random_sequence(48, 200, rng),
-                         .want_kernel = true,
-                         .windows = {{0, 10}, {5, 30}, {7, 2}}};
-    const LcsRequest lcs{.s = random_sequence(24, 6, rng),
-                         .t = random_sequence(30, 6, rng)};
+  const MultiplyRequest mul{Perm::random(32, rng), Perm::random(32, rng)};
+  const MultiplyRequest sub{Perm::random_sub(20, 28, 12, rng),
+                            Perm::random_sub(28, 24, 14, rng),
+                            MultiplyRequest::Kind::kSubunit};
+  const LisRequest lis{.seq = random_sequence(48, 200, rng),
+                       .want_kernel = true,
+                       .windows = {{0, 10}, {5, 30}, {7, 2}}};
+  const LcsRequest lcs{.s = random_sequence(24, 6, rng),
+                       .t = random_sequence(30, 6, rng)};
 
-    auto fm = service.submit(mul);
-    auto fs = service.submit(sub);
-    auto fl = service.submit(lis);
-    auto fc = service.submit(lcs);
+  auto fm = service.submit(mul);
+  auto fs = service.submit(sub);
+  auto fl = service.submit(lis);
+  auto fc = service.submit(lcs);
 
-    EXPECT_EQ(fm.get().c, direct.solve(mul).c);
-    EXPECT_EQ(fs.get().c, direct.solve(sub).c);
-    const auto lis_direct = direct.solve(lis);
-    const auto lis_served = fl.get();
-    EXPECT_EQ(lis_served.lis, lis_direct.lis);
-    EXPECT_EQ(lis_served.kernel, lis_direct.kernel);
-    EXPECT_EQ(lis_served.window_lis, lis_direct.window_lis);
-    const auto lcs_direct = direct.solve(lcs);
-    const auto lcs_served = fc.get();
-    EXPECT_EQ(lcs_served.lcs, lcs_direct.lcs);
-    EXPECT_EQ(lcs_served.matches, lcs_direct.matches);
-  }
+  const Perm mul_served = fm.get().c;
+  EXPECT_EQ(mul_served, direct.solve(mul).c);
+  EXPECT_EQ(mul_served, Perm::from_rows(seaweed_multiply_reference_raw(
+                                            mul.a.row_to_col(),
+                                            mul.b.row_to_col()),
+                                        mul.b.cols()));
+  const Perm sub_served = fs.get().c;
+  EXPECT_EQ(sub_served, direct.solve(sub).c);
+  EXPECT_EQ(sub_served, subunit_multiply_padded(sub.a, sub.b));
+  const auto lis_direct = direct.solve(lis);
+  const auto lis_served = fl.get();
+  EXPECT_EQ(lis_served.lis, lis_direct.lis);
+  EXPECT_EQ(lis_served.kernel, lis_direct.kernel);
+  EXPECT_EQ(lis_served.window_lis, lis_direct.window_lis);
+  EXPECT_EQ(lis_served.lis, lis::lis_length_dp(lis.seq));
+  EXPECT_EQ(lis_served.kernel,
+            lis::lis_kernel_reference(lis::rank_reduce_strict(lis.seq)));
+  EXPECT_EQ(lis_served.window_lis, lis::lis_window_batch(lis.seq, lis.windows));
+  const auto lcs_direct = direct.solve(lcs);
+  const auto lcs_served = fc.get();
+  EXPECT_EQ(lcs_served.lcs, lcs_direct.lcs);
+  EXPECT_EQ(lcs_served.matches, lcs_direct.matches);
+  EXPECT_EQ(lcs_served.lcs, lcs::lcs_dp(lcs.s, lcs.t));
+  EXPECT_EQ(lcs_served.matches, lcs::hs_match_count(lcs.s, lcs.t));
 }
 
 TEST(SolverService, MatchesDirectSolverOnMpcSimIncludingRounds) {
@@ -303,8 +547,7 @@ TEST(SolverService, CachedResultsBitIdenticalToFreshOnAllBackends) {
   const auto s = random_sequence(20, 5, rng);
   const auto t = random_sequence(24, 5, rng);
   for (const auto backend :
-       {SolverBackend::kSequential, SolverBackend::kMpcSim,
-        SolverBackend::kReference}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     SolverOptions sopts;
     sopts.backend = backend;
     sopts.cluster.threads = 1;

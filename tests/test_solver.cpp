@@ -1,7 +1,8 @@
-// monge::Solver facade: every route (single + batch, all three backends)
-// is pinned bit-identical against the direct free-function calls it
-// delegates to, plus SolverOptions validation (invalid backend/engine/MPC
-// knobs throw at construction, mirroring SeaweedEngineOptions semantics).
+// monge::Solver facade: every route (single + batch, both backends) is
+// pinned bit-identical against the direct free-function calls it delegates
+// to and against the reference oracles, plus SolverOptions validation
+// (invalid backend/engine/MPC knobs throw at construction, mirroring
+// SeaweedEngineOptions semantics).
 #include "api/solver.h"
 
 #include <gtest/gtest.h>
@@ -47,9 +48,11 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
   EXPECT_NO_THROW(Solver{SolverOptions{.backend = SolverBackend::kMpcSim}});
 
   // Solver-validated knobs throw the taxonomy's InvalidRequestError.
-  SolverOptions bad_backend;
-  bad_backend.backend = static_cast<SolverBackend>(7);
-  EXPECT_THROW(Solver{bad_backend}, InvalidRequestError);
+  for (const int bad : {2, 7}) {  // 2 was the retired Reference backend
+    SolverOptions bad_backend;
+    bad_backend.backend = static_cast<SolverBackend>(bad);
+    EXPECT_THROW(Solver{bad_backend}, InvalidRequestError) << bad;
+  }
 
   // Engine knobs are validated by the owned engine's constructor, which
   // keeps its std::logic_error contract.
@@ -83,17 +86,16 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
 
 TEST(SolverOptions, EchoedExactlyAndBackendNames) {
   SolverOptions opts;
-  opts.backend = SolverBackend::kReference;
+  opts.backend = SolverBackend::kMpcSim;
   opts.engine.base_case_cutoff = 3;
   opts.mpc_delta = 0.25;
   Solver solver(opts);
-  EXPECT_EQ(solver.options().backend, SolverBackend::kReference);
+  EXPECT_EQ(solver.options().backend, SolverBackend::kMpcSim);
   EXPECT_EQ(solver.options().engine.base_case_cutoff, 3);
   EXPECT_EQ(solver.options().mpc_delta, 0.25);
   EXPECT_EQ(solver.engine().options().base_case_cutoff, 3);
   EXPECT_STREQ(solver_backend_name(SolverBackend::kSequential), "sequential");
   EXPECT_STREQ(solver_backend_name(SolverBackend::kMpcSim), "mpc-sim");
-  EXPECT_STREQ(solver_backend_name(SolverBackend::kReference), "reference");
 }
 
 TEST(SolverOptions, ShapeValidationOnRequests) {
@@ -113,31 +115,23 @@ TEST(SolverMultiply, SequentialBitIdenticalToDirectCalls) {
   Solver solver;
   for (const std::int64_t n : {1, 2, 3, 5, 16, 33, 64, 257}) {
     const MultiplyRequest full{Perm::random(n, rng), Perm::random(n, rng)};
-    EXPECT_EQ(solver.solve(full).c, seaweed_multiply(full.a, full.b)) << n;
+    const Perm full_c = solver.solve(full).c;
+    EXPECT_EQ(full_c, seaweed_multiply(full.a, full.b)) << n;
+    // The textbook recursion is the oracle.
+    EXPECT_EQ(full_c, Perm::from_rows(seaweed_multiply_reference_raw(
+                                          full.a.row_to_col(),
+                                          full.b.row_to_col()),
+                                      n))
+        << n;
 
     const MultiplyRequest sub{
         Perm::random_sub(n, n, n / 2, rng),
         Perm::random_sub(n, (3 * n) / 2, n / 2, rng),
         MultiplyRequest::Kind::kSubunit};
-    EXPECT_EQ(solver.solve(sub).c, subunit_multiply(sub.a, sub.b)) << n;
-  }
-}
-
-TEST(SolverMultiply, ReferenceBitIdenticalToReferenceOracles) {
-  Rng rng(12);
-  Solver solver({.backend = SolverBackend::kReference});
-  for (const std::int64_t n : {1, 2, 7, 32, 65}) {
-    const MultiplyRequest full{Perm::random(n, rng), Perm::random(n, rng)};
-    EXPECT_EQ(solver.solve(full).c,
-              Perm::from_rows(seaweed_multiply_reference_raw(
-                                  full.a.row_to_col(), full.b.row_to_col()),
-                              n))
-        << n;
-
-    const MultiplyRequest sub{Perm::random_sub(n, n, n / 2, rng),
-                              Perm::random_sub(n, n, n / 2, rng),
-                              MultiplyRequest::Kind::kSubunit};
-    EXPECT_EQ(solver.solve(sub).c, subunit_multiply_padded(sub.a, sub.b)) << n;
+    const Perm sub_c = solver.solve(sub).c;
+    EXPECT_EQ(sub_c, subunit_multiply(sub.a, sub.b)) << n;
+    // The explicit §4.1 padding is the oracle.
+    EXPECT_EQ(sub_c, subunit_multiply_padded(sub.a, sub.b)) << n;
   }
 }
 
@@ -267,21 +261,14 @@ TEST(SolverLis, SequentialRoutesBitIdenticalToDirectCalls) {
     EXPECT_EQ(wres.window_lis,
               lis::kernel_window_lis_batch(direct_kernel, windows));
     EXPECT_TRUE(wres.kernel.row_to_col().empty());  // not requested
-  }
-}
 
-TEST(SolverLis, ReferenceRoutesBitIdenticalToOracles) {
-  Rng rng(18);
-  Solver solver({.backend = SolverBackend::kReference});
-  const std::int64_t n = 48;
-  const auto seq = random_sequence(n, 12, rng);
-  const auto windows = random_windows(n, 5, rng);
-  const auto res = solver.solve(
-      LisRequest{.seq = seq, .want_kernel = true, .windows = windows});
-  EXPECT_EQ(res.lis, lis::lis_length_dp(seq));
-  EXPECT_EQ(res.kernel,
-            lis::lis_kernel_reference(lis::rank_reduce_strict(seq)));
-  EXPECT_EQ(res.window_lis, lis::lis_window_batch(seq, windows));
+    // The oracles: the quadratic DP, the depth-first kernel builder and
+    // per-window patience sorting.
+    EXPECT_EQ(kres.lis, lis::lis_length_dp(seq));
+    EXPECT_EQ(kres.kernel,
+              lis::lis_kernel_reference(lis::rank_reduce_strict(seq)));
+    EXPECT_EQ(wres.window_lis, lis::lis_window_batch(seq, windows));
+  }
 }
 
 TEST(SolverLis, SequentialBatchBitIdenticalToPerRequestSolve) {
@@ -337,10 +324,7 @@ TEST(SolverLcs, AllBackendsBitIdenticalToDirectCalls) {
   EXPECT_EQ(seq_res.lcs, lcs::lcs_hs(s, t));
   EXPECT_EQ(seq_res.matches, matches);
 
-  Solver ref_solver({.backend = SolverBackend::kReference});
-  const auto ref_res = ref_solver.solve(LcsRequest{s, t});
-  EXPECT_EQ(ref_res.lcs, lcs::lcs_dp(s, t));
-  EXPECT_EQ(ref_res.matches, matches);
+  EXPECT_EQ(seq_res.lcs, lcs::lcs_dp(s, t));
 
   Solver mpc_solver({.backend = SolverBackend::kMpcSim});
   const auto mpc_res = mpc_solver.solve(LcsRequest{s, t});
@@ -352,19 +336,16 @@ TEST(SolverLcs, AllBackendsBitIdenticalToDirectCalls) {
 }
 
 TEST(SolverLcs, ReferenceAndSequentialReportIdenticalMatches) {
-  // Regression: the Reference route used to materialize the full HS match
-  // sequence just to read .size(); it now uses lcs::hs_match_count, which
-  // must agree exactly with what the Sequential route reports.
+  // The streaming lcs::hs_match_count and the DP oracle must agree exactly
+  // with what the Sequential route reports.
   Rng rng(31);
   Solver seq_solver;
-  Solver ref_solver({.backend = SolverBackend::kReference});
   for (int trial = 0; trial < 12; ++trial) {
     const LcsRequest req{random_sequence(rng.next_in(0, 64), 5, rng),
                          random_sequence(rng.next_in(0, 64), 5, rng)};
     const auto seq_res = seq_solver.solve(req);
-    const auto ref_res = ref_solver.solve(req);
-    ASSERT_EQ(ref_res.matches, seq_res.matches) << trial;
-    ASSERT_EQ(ref_res.lcs, seq_res.lcs) << trial;
+    ASSERT_EQ(lcs::hs_match_count(req.s, req.t), seq_res.matches) << trial;
+    ASSERT_EQ(lcs::lcs_dp(req.s, req.t), seq_res.lcs) << trial;
   }
 }
 
@@ -385,8 +366,7 @@ TEST(SolverLcs, BatchBitIdenticalToPerRequestSolveAllBackends) {
   reqs.push_back({shared_t, shared_t});
 
   for (const auto backend :
-       {SolverBackend::kSequential, SolverBackend::kMpcSim,
-        SolverBackend::kReference}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     SolverOptions opts;
     opts.backend = backend;
     opts.cluster.threads = 1;
