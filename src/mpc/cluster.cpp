@@ -47,6 +47,15 @@ bool scheduled_hit(const FaultPlan& fp, FaultKind kind, std::int64_t round,
   return false;
 }
 
+/// The registration with this id in an id-sorted registry, or end().
+template <typename Registry>
+auto find_registration(Registry& registry, std::int64_t id) {
+  const auto it = std::lower_bound(
+      registry.begin(), registry.end(), id,
+      [](const auto& entry, std::int64_t key) { return entry.first < key; });
+  return it != registry.end() && it->first == id ? it : registry.end();
+}
+
 }  // namespace
 
 std::int64_t MachineCtx::machines() const { return cluster_->machines(); }
@@ -59,6 +68,7 @@ void MachineCtx::send(std::int64_t to, std::int64_t tag,
                       std::vector<Word> payload) {
   MONGE_CHECK_MSG(to >= 0 && to < cluster_->machines(),
                   "send to invalid machine " << to);
+  out_words_ += static_cast<std::int64_t>(payload.size()) + kEnvelopeWords;
   Message m;
   m.from = id_;
   m.to = to;
@@ -69,7 +79,15 @@ void MachineCtx::send(std::int64_t to, std::int64_t tag,
 
 Cluster::Cluster(MpcConfig cfg) : cfg_(std::move(cfg)), pool_(cfg_.threads) {
   validate_config(cfg_);
-  mailboxes_.resize(static_cast<std::size_t>(cfg_.num_machines));
+  const auto m = static_cast<std::size_t>(cfg_.num_machines);
+  mailboxes_.resize(m);
+  ctxs_.reserve(m);
+  for (std::int64_t i = 0; i < cfg_.num_machines; ++i) {
+    ctxs_.push_back(MachineCtx(this, i));
+  }
+  errors_.resize(m);
+  incoming_words_.resize(m);
+  resident_words_.resize(m);
 }
 
 void Cluster::check_space(std::int64_t machine, std::int64_t words,
@@ -80,26 +98,26 @@ void Cluster::check_space(std::int64_t machine, std::int64_t words,
 }
 
 std::int64_t Cluster::register_resident(ResidentHooks hooks) {
-  MONGE_CHECK_MSG(hooks.words != nullptr,
-                  "ResidentHooks.words is mandatory");
-  const std::int64_t id = next_auditor_id_++;
-  auditors_[id] = std::move(hooks);
+  MONGE_CHECK_MSG(hooks.add_words != nullptr,
+                  "ResidentHooks.add_words is mandatory");
+  const std::int64_t id = next_resident_id_++;
+  residents_.emplace_back(id, std::move(hooks));
   return id;
 }
 
-std::int64_t Cluster::register_resident(
-    std::function<std::int64_t(std::int64_t)> auditor) {
-  ResidentHooks hooks;
-  hooks.words = std::move(auditor);
-  return register_resident(std::move(hooks));
+void Cluster::unregister_resident(std::int64_t id) {
+  const auto it = find_registration(residents_, id);
+  if (it != residents_.end()) residents_.erase(it);
 }
 
-void Cluster::unregister_resident(std::int64_t id) { auditors_.erase(id); }
+void Cluster::add_resident_words(std::span<std::int64_t> words) const {
+  for (const auto& [id, hooks] : residents_) hooks.add_words(words);
+}
 
-std::int64_t Cluster::resident_words(std::int64_t machine) const {
-  std::int64_t total = 0;
-  for (const auto& [id, hooks] : auditors_) total += hooks.words(machine);
-  return total;
+std::vector<std::int64_t> Cluster::resident_words() const {
+  std::vector<std::int64_t> words(static_cast<std::size_t>(machines()), 0);
+  add_resident_words(words);
+  return words;
 }
 
 void Cluster::take_checkpoint(std::int64_t round) {
@@ -111,10 +129,10 @@ void Cluster::take_checkpoint(std::int64_t round) {
   std::int64_t words = 0;
   for (const auto& box : snapshot_.mailboxes) {
     for (const Message& msg : box) {
-      words += static_cast<std::int64_t>(msg.payload.size()) + 2;
+      words += static_cast<std::int64_t>(msg.payload.size()) + kEnvelopeWords;
     }
   }
-  for (const auto& [id, hooks] : auditors_) {
+  for (const auto& [id, hooks] : residents_) {
     if (!hooks.checkpoint || !hooks.restore) {
       snapshot_.complete = false;
       continue;
@@ -135,8 +153,8 @@ std::int64_t Cluster::restore_checkpoint() {
   mailboxes_ = snapshot_.mailboxes;
   std::int64_t words = 0;
   for (const auto& [id, blobs] : snapshot_.residents) {
-    const auto it = auditors_.find(id);
-    if (it == auditors_.end()) continue;  // destroyed since the snapshot
+    const auto it = find_registration(residents_, id);
+    if (it == residents_.end()) continue;  // destroyed since the snapshot
     for (std::int64_t i = 0; i < machines(); ++i) {
       const auto& blob = blobs[static_cast<std::size_t>(i)];
       it->second.restore(i, blob);
@@ -167,7 +185,8 @@ std::vector<std::int64_t> Cluster::crashed_machines(
 void Cluster::inject_message_faults(const Message& msg, std::int64_t round,
                                     std::int64_t seq, bool* retransmitted) {
   const FaultPlan& fp = cfg_.faults;
-  const auto w = static_cast<std::int64_t>(msg.payload.size()) + 2;
+  const auto w =
+      static_cast<std::int64_t>(msg.payload.size()) + kEnvelopeWords;
   const auto hit = [&](FaultKind kind, double prob) {
     return (prob > 0.0 &&
             fault_uniform(fp.seed, kind, round, seq, msg.from, msg.to) <
@@ -207,39 +226,31 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
 
   if (chaos && round % cfg_.checkpoint_interval == 0) take_checkpoint(round);
 
-  // Run the local phase of every machine concurrently. Each machine gets a
-  // private context; message routing happens after the barrier, so delivery
-  // order is deterministic no matter how the pool schedules machines.
-  std::vector<MachineCtx> ctxs;
-  ctxs.reserve(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) ctxs.push_back(MachineCtx(this, i));
-
-  // Machine errors are collected per machine, never rethrown across the
-  // pool, so the surfaced exception is deterministic — lowest machine id
-  // wins regardless of which worker thread hit its error first.
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
-
   for (std::int64_t attempt = 0;; ++attempt) {
     if (attempt > 0) {
       // Coordinated rollback: every machine returns to the round-entry
       // snapshot; the aborted attempt's traffic and the restore traffic
       // are written off to the recovery accounts.
       std::int64_t wasted = 0;
-      for (auto& ctx : ctxs) {
-        for (const Message& msg : ctx.outbox_) {
-          wasted += static_cast<std::int64_t>(msg.payload.size()) + 2;
-        }
-        ctx.outbox_.clear();
-      }
+      for (const MachineCtx& ctx : ctxs_) wasted += ctx.out_words_;
       stats_.recovery.recovery_comm_words += wasted + restore_checkpoint();
       ++stats_.recovery.recovery_rounds;
-      std::fill(errors.begin(), errors.end(), nullptr);
     }
-    pool_.parallel_for(m, [&](std::int64_t i) {
+    // The per-round state is reused: drop what the last execution left in
+    // it — an aborted attempt, or a previous round that threw before
+    // routing.
+    for (MachineCtx& ctx : ctxs_) ctx.clear_outbox();
+    std::fill(errors_.begin(), errors_.end(), nullptr);
+    // Run the local phase of every machine concurrently, each on its own
+    // context; routing happens after the barrier, so delivery order is
+    // deterministic no matter how the pool schedules machines. Errors are
+    // collected per machine, never rethrown across the pool, so the
+    // surfaced exception is deterministic too — lowest machine id wins.
+    pool_.parallel_for(m, [this, &fn](std::int64_t i) {
       try {
-        fn(ctxs[static_cast<std::size_t>(i)]);
+        fn(ctxs_[static_cast<std::size_t>(i)]);
       } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
+        errors_[static_cast<std::size_t>(i)] = std::current_exception();
       }
     });
     if (!chaos) break;
@@ -267,23 +278,15 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
         static_cast<std::int64_t>(crashed.size());
   }
 
-  for (std::int64_t i = 0; i < m; ++i) {
-    if (errors[static_cast<std::size_t>(i)]) {
-      std::rethrow_exception(errors[static_cast<std::size_t>(i)]);
-    }
+  for (const std::exception_ptr& error : errors_) {
+    if (error) std::rethrow_exception(error);
   }
 
-  // Space accounting: a machine's traffic this round is what it sends plus
-  // what it receives; both are bounded by s in the model. Each message
-  // carries a 2-word envelope (from, tag).
-  std::vector<std::int64_t> incoming_words(static_cast<std::size_t>(m), 0);
+  // Outgoing traffic, tallied by send() with each message's envelope.
   for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t out_words = 0;
-    for (const Message& msg : ctxs[static_cast<std::size_t>(i)].outbox_) {
-      out_words += static_cast<std::int64_t>(msg.payload.size()) + 2;
-    }
-    check_space(i, out_words, "outgoing traffic of");
-    stats_.total_comm_words += out_words;
+    const std::int64_t out = ctxs_[static_cast<std::size_t>(i)].out_words_;
+    check_space(i, out, "outgoing traffic of");
+    stats_.total_comm_words += out;
   }
 
   // Route: clear old inboxes, deliver new messages sorted by sender. With
@@ -291,15 +294,17 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
   // masked by the simulated reliable transport — the delivered payloads
   // are always pristine; only the recovery accounts move.
   for (auto& box : mailboxes_) box.clear();
+  std::fill(incoming_words_.begin(), incoming_words_.end(), 0);
   bool retransmitted = false;
-  for (std::int64_t i = 0; i < m; ++i) {
+  for (MachineCtx& ctx : ctxs_) {
     std::int64_t seq = 0;
-    for (Message& msg : ctxs[static_cast<std::size_t>(i)].outbox_) {
-      const auto w = static_cast<std::int64_t>(msg.payload.size()) + 2;
+    for (Message& msg : ctx.outbox_) {
       if (chaos) inject_message_faults(msg, round, seq, &retransmitted);
       ++seq;
-      incoming_words[static_cast<std::size_t>(msg.to)] += w;
-      mailboxes_[static_cast<std::size_t>(msg.to)].push_back(std::move(msg));
+      const auto to = static_cast<std::size_t>(msg.to);
+      incoming_words_[to] +=
+          static_cast<std::int64_t>(msg.payload.size()) + kEnvelopeWords;
+      mailboxes_[to].push_back(std::move(msg));
     }
   }
   if (retransmitted) ++stats_.recovery.recovery_rounds;
@@ -317,16 +322,27 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
     }
   }
 
-  // Peak accounting after delivery: resident + inbox.
+  // Space audit after delivery: every machine's inbox, resident data and
+  // footprint (outbox + inbox + resident). The per-part checks run first,
+  // over all machines, so a part over s is reported as that part; only then
+  // is the sum bounded.
+  std::fill(resident_words_.begin(), resident_words_.end(), 0);
+  add_resident_words(resident_words_);
+  const auto footprint = [&](std::size_t i) {
+    return ctxs_[i].out_words_ + incoming_words_[i] + resident_words_[i];
+  };
   for (std::int64_t i = 0; i < m; ++i) {
-    check_space(i, incoming_words[static_cast<std::size_t>(i)],
-                "incoming traffic of");
-    const std::int64_t resident = resident_words(i);
-    check_space(i, resident, "resident data of");
-    stats_.max_resident_words = std::max(stats_.max_resident_words, resident);
+    const auto k = static_cast<std::size_t>(i);
+    check_space(i, incoming_words_[k], "incoming traffic of");
+    check_space(i, resident_words_[k], "resident data of");
+    stats_.max_resident_words =
+        std::max(stats_.max_resident_words, resident_words_[k]);
     stats_.max_machine_words =
-        std::max(stats_.max_machine_words,
-                 resident + incoming_words[static_cast<std::size_t>(i)]);
+        std::max(stats_.max_machine_words, footprint(k));
+  }
+  for (std::int64_t i = 0; i < m; ++i) {
+    check_space(i, footprint(static_cast<std::size_t>(i)),
+                "footprint (outbox + inbox + resident) of");
   }
   ++stats_.rounds;
 }

@@ -7,7 +7,10 @@
 //   * counts rounds — the MPC complexity measure every benchmark reports,
 //   * accounts communication and resident space per machine per round and
 //     (in strict mode) throws SpaceLimitError when the s-word budget is
-//     exceeded — this is how the fully-scalability claims are *measured*,
+//     exceeded — this is how the fully-scalability claims are *measured*.
+//     A machine's words in a round are its outbox (what it sent), its inbox
+//     (what was routed to it) and its resident data (registered
+//     structures, after the round); each part, and their sum, must fit s,
 //   * runs machine-local work on a thread pool, with deterministic message
 //     delivery (sorted by sender) and deterministic error surfacing (lowest
 //     machine id wins) regardless of scheduling,
@@ -23,6 +26,13 @@
 //     ClusterStats::recovery and NEVER in the paper's rounds /
 //     total_comm_words, so the complexity measurements stay honest.
 //
+// A round's fixed cost is kept to what its machines do: the per-machine
+// contexts (with their outboxes), error slots and word tallies are Cluster
+// members reused from round to round, each machine tallies its outgoing
+// words as it sends, and the resident audit makes one ResidentHooks call
+// per registered structure per round, which adds that structure's words
+// for every machine at once.
+//
 // The recovery contract for round closures: a crash re-executes the SAME
 // closure against the restored snapshot, so closures must be restartable —
 // inside a round, mutate only (a) cluster-registered resident state
@@ -36,10 +46,12 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpc/config.h"
@@ -56,6 +68,10 @@ using Word = std::int64_t;
 // re-exported here where it is thrown from.
 using monge::SpaceLimitError;
 
+/// Words of envelope (sender, tag) every message costs on top of its
+/// payload, in the traffic accounting and the communication totals.
+inline constexpr std::int64_t kEnvelopeWords = 2;
+
 struct Message {
   std::int64_t from = 0;
   std::int64_t to = 0;
@@ -68,6 +84,13 @@ struct Message {
   template <typename T>
   std::vector<T> decode() const {
     return util::unpack_words<T>(payload);
+  }
+
+  /// Appends the decoded payload to `out` without a temporary array; same
+  /// contract (and CodecError, before anything is appended) as decode().
+  template <typename T>
+  void decode_append(std::vector<T>& out) const {
+    util::unpack_words_append<T>(payload, out);
   }
 };
 
@@ -106,7 +129,9 @@ inline RecoveryStats operator-(RecoveryStats a, const RecoveryStats& b) {
 struct ClusterStats {
   std::int64_t rounds = 0;
   std::int64_t total_comm_words = 0;
-  /// Peak over rounds and machines of inbox + outbox + resident words.
+  /// Peak over rounds and machines of outbox + inbox + resident words: what
+  /// a machine sent in a round, what was routed to it, and what it keeps
+  /// in registered structures after the round.
   std::int64_t max_machine_words = 0;
   /// Peak resident (registered DistVector shards) alone.
   std::int64_t max_resident_words = 0;
@@ -117,14 +142,16 @@ struct ClusterStats {
 };
 
 /// Hooks a resident data structure (DistVector) registers with the
-/// cluster. `words` feeds the per-round space audit and is mandatory;
+/// cluster. `add_words` feeds the per-round space audit and is mandatory;
 /// `checkpoint`/`restore` let the cluster snapshot the structure's
 /// per-machine state and roll it back for crash recovery. Structures
-/// registered without the recovery pair still audit, but a crash while one
-/// is live is unrecoverable (FaultError).
+/// registered without the recovery pair (audit-only) still audit, but a
+/// crash while one is live is unrecoverable (FaultError).
 struct ResidentHooks {
-  /// Words the structure currently keeps on a machine.
-  std::function<std::int64_t(std::int64_t machine)> words;
+  /// Adds the words the structure currently keeps on machine i to
+  /// words[i], for every machine (words.size() == machines()). The audit
+  /// calls it once per round.
+  std::function<void(std::span<std::int64_t> words)> add_words;
   /// Serializes the machine's state as a flat word blob.
   std::function<std::vector<Word>(std::int64_t machine)> checkpoint;
   /// Inverse of checkpoint: reinstates a previously serialized blob.
@@ -152,10 +179,17 @@ class MachineCtx {
  private:
   friend class Cluster;
   MachineCtx(Cluster* cluster, std::int64_t id) : cluster_(cluster), id_(id) {}
+  /// Drops the outbox of the previous (or an aborted) execution.
+  void clear_outbox() {
+    outbox_.clear();
+    out_words_ = 0;
+  }
 
   Cluster* cluster_;
   std::int64_t id_;
   std::vector<Message> outbox_;
+  /// Payload + envelope words in outbox_, tallied by send().
+  std::int64_t out_words_ = 0;
 };
 
 class Cluster {
@@ -164,6 +198,9 @@ class Cluster {
   /// probabilities and scheduled sites) — invalid values throw
   /// InvalidRequestError, never undefined behavior.
   explicit Cluster(MpcConfig cfg);
+  // Machine contexts and registered structures hold the cluster's address.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   std::int64_t machines() const { return cfg_.num_machines; }
   std::int64_t space_words() const { return cfg_.space_words; }
@@ -184,15 +221,14 @@ class Cluster {
   void reset_stats() { stats_ = ClusterStats{}; }
 
   /// Registers a resident structure's hook set (used by DistVector);
-  /// returns an id for unregistering.
+  /// returns an id for unregistering. Leave checkpoint/restore empty for an
+  /// audit-only registration (no crash recovery for this structure).
   std::int64_t register_resident(ResidentHooks hooks);
-  /// Audit-only registration (no crash recovery for this structure).
-  std::int64_t register_resident(
-      std::function<std::int64_t(std::int64_t)> auditor);
   void unregister_resident(std::int64_t id);
 
-  /// Current resident words on a machine (sum over live auditors).
-  std::int64_t resident_words(std::int64_t machine) const;
+  /// Current resident words per machine, summed over the registered
+  /// structures through the same hooks the round audit calls.
+  std::vector<std::int64_t> resident_words() const;
 
  private:
   /// Round-entry snapshot crash recovery restores: the delivered-but-
@@ -206,6 +242,8 @@ class Cluster {
 
   void check_space(std::int64_t machine, std::int64_t words,
                    const char* kind) const;
+  /// Adds every registered structure's words per machine into `words`.
+  void add_resident_words(std::span<std::int64_t> words) const;
   void take_checkpoint(std::int64_t round);
   /// Rolls mailboxes and resident state back; returns the words restored.
   std::int64_t restore_checkpoint();
@@ -222,9 +260,18 @@ class Cluster {
   ThreadPool pool_;
   ClusterStats stats_;
   std::vector<std::vector<Message>> mailboxes_;  // inbox per machine
-  std::map<std::int64_t, ResidentHooks> auditors_;
-  std::int64_t next_auditor_id_ = 0;
+  /// Registered structures by ascending id (ids are handed out in order).
+  std::vector<std::pair<std::int64_t, ResidentHooks>> residents_;
+  std::int64_t next_resident_id_ = 0;
   Snapshot snapshot_;
+
+  // Per-round state, sized once and reused by every round. Inside the
+  // parallel phase machine i's context and error slot are touched only by
+  // the task running machine i; the tallies only at the round barrier.
+  std::vector<MachineCtx> ctxs_;
+  std::vector<std::exception_ptr> errors_;
+  std::vector<std::int64_t> incoming_words_;
+  std::vector<std::int64_t> resident_words_;
 
   friend class MachineCtx;
 };

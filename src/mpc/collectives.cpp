@@ -90,9 +90,8 @@ PrefixResult exclusive_prefix(Cluster& c,
     for (const Message& msg : mc.inbox()) {
       if (msg.tag < tags::kUp) continue;
       const std::int64_t k = msg.tag - tags::kUp;  // child slot
-      const auto v = msg.decode<std::int64_t>();
       child_sum[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] =
-          v[0];
+          msg.payload[0];
     }
     // Restartable: the subtree sum is recomputed from the overwrite-once
     // child slots (all of a node's children report in the same round), so
@@ -137,9 +136,8 @@ PrefixResult exclusive_prefix(Cluster& c,
       const std::int64_t i = mc.id();
       for (const Message& msg : mc.inbox()) {
         if (msg.tag != tags::kDown) continue;
-        const auto v = msg.decode<std::int64_t>();
-        prefix[static_cast<std::size_t>(i)] = v[0];
-        total[static_cast<std::size_t>(i)] = v[1];
+        prefix[static_cast<std::size_t>(i)] = msg.payload[0];
+        total[static_cast<std::size_t>(i)] = msg.payload[1];
       }
       if (tree.depth[static_cast<std::size_t>(i)] != hop) return;
       std::int64_t acc = prefix[static_cast<std::size_t>(i)] +
@@ -209,6 +207,8 @@ DistVector<std::int64_t> rank_search(Cluster& c,
       static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     const auto& vloc = values.local(i);
+    const auto& qloc = queries.local(i);
+    items[static_cast<std::size_t>(i)].reserve(vloc.size() + qloc.size());
     const std::int64_t vlo = values.layout().lo(i);
     for (std::size_t k = 0; k < vloc.size(); ++k) {
       MONGE_DCHECK(std::llabs(vloc[k]) < (std::int64_t{1} << 62));
@@ -216,7 +216,6 @@ DistVector<std::int64_t> rank_search(Cluster& c,
           {vlo + static_cast<std::int64_t>(k),
            Tagged{(vloc[k] << 1) | 1, -1}});
     }
-    const auto& qloc = queries.local(i);
     const std::int64_t qlo = queries.layout().lo(i);
     for (std::size_t k = 0; k < qloc.size(); ++k) {
       const std::int64_t qidx = qlo + static_cast<std::int64_t>(k);
@@ -244,6 +243,7 @@ DistVector<std::int64_t> rank_search(Cluster& c,
       static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t rank = pr.prefix[static_cast<std::size_t>(i)];
+    answers[static_cast<std::size_t>(i)].reserve(combined.local(i).size());
     for (const Tagged& t : combined.local(i)) {
       if (t.id < 0) {
         ++rank;

@@ -113,32 +113,42 @@ std::vector<Word> broadcast_from(Cluster& c, std::int64_t root,
 template <typename T>
 PerMachine<std::vector<T>> route_items(
     Cluster& c, const PerMachine<std::vector<std::pair<std::int64_t, T>>>& out) {
-  PerMachine<std::vector<T>> received(static_cast<std::size_t>(c.machines()));
+  const std::int64_t m = c.machines();
+  PerMachine<std::vector<T>> received(static_cast<std::size_t>(m));
   c.run_round([&](MachineCtx& mc) {
     const auto& mine = out[static_cast<std::size_t>(mc.id())];
-    // Group by destination (stable to preserve send order).
-    std::vector<std::pair<std::int64_t, T>> sorted(mine.begin(), mine.end());
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t i = 0;
-    while (i < sorted.size()) {
-      std::size_t j = i;
-      std::vector<T> batch;
-      while (j < sorted.size() && sorted[j].first == sorted[i].first) {
-        batch.push_back(sorted[j].second);
-        ++j;
+    if (mine.empty()) return;
+    // Group by destination without sorting: count the items per
+    // destination, then pack each item straight into its destination's
+    // payload. Items keep their send order within a destination, and the
+    // messages go out in destination order.
+    constexpr std::size_t wpe = util::kWordsPerItem<T>;
+    std::vector<std::size_t> count(static_cast<std::size_t>(m), 0);
+    for (const auto& [to, item] : mine) {
+      MONGE_CHECK_MSG(to >= 0 && to < m, "send to invalid machine " << to);
+      ++count[static_cast<std::size_t>(to)];
+    }
+    PerMachine<std::vector<Word>> payload(static_cast<std::size_t>(m));
+    for (std::size_t d = 0; d < payload.size(); ++d) {
+      payload[d].assign(count[d] * wpe, 0);
+      count[d] = 0;  // becomes the fill cursor, in words
+    }
+    for (const auto& [to, item] : mine) {
+      const auto d = static_cast<std::size_t>(to);
+      util::pack_item(item, payload[d].data() + count[d]);
+      count[d] += wpe;
+    }
+    for (std::size_t d = 0; d < payload.size(); ++d) {
+      if (count[d] > 0) {
+        mc.send(static_cast<std::int64_t>(d), tags::kItem,
+                std::move(payload[d]));
       }
-      mc.send_items<T>(sorted[i].first, tags::kItem, batch);
-      i = j;
     }
   });
   c.run_round([&](MachineCtx& mc) {
     auto& mine = received[static_cast<std::size_t>(mc.id())];
     mine.clear();  // restartable: crash recovery re-executes the round
-    for (const Message& msg : mc.inbox()) {
-      auto items = msg.decode<T>();
-      mine.insert(mine.end(), items.begin(), items.end());
-    }
+    for (const Message& msg : mc.inbox()) msg.decode_append(mine);
   });
   return received;
 }
@@ -159,6 +169,8 @@ DistVector<T> scatter_to_layout(
   PerMachine<std::vector<std::pair<std::int64_t, Slot>>> out(
       static_cast<std::size_t>(c.machines()));
   for (std::int64_t i = 0; i < c.machines(); ++i) {
+    out[static_cast<std::size_t>(i)].reserve(
+        items[static_cast<std::size_t>(i)].size());
     for (const auto& [idx, value] : items[static_cast<std::size_t>(i)]) {
       MONGE_DCHECK(idx >= 0 && idx < total);
       out[static_cast<std::size_t>(i)].push_back(
@@ -288,9 +300,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
         const std::int64_t i = mc.id();
         auto sk = sketch[static_cast<std::size_t>(i)];
         for (const Message& msg : mc.inbox()) {
-          if (msg.tag != tags::kSketch) continue;
-          auto items = msg.decode<detail::SketchItem>();
-          sk.insert(sk.end(), items.begin(), items.end());
+          if (msg.tag == tags::kSketch) msg.decode_append(sk);
         }
         std::sort(sk.begin(), sk.end(), [](const auto& a, const auto& b) {
           return a.key < b.key;
@@ -311,9 +321,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
       const std::int64_t i = mc.id();
       auto sk = sketch[static_cast<std::size_t>(i)];
       for (const Message& msg : mc.inbox()) {
-        if (msg.tag != tags::kSketch) continue;
-        auto items = msg.decode<detail::SketchItem>();
-        sk.insert(sk.end(), items.begin(), items.end());
+        if (msg.tag == tags::kSketch) msg.decode_append(sk);
       }
       std::sort(sk.begin(), sk.end(),
                 [](const auto& a, const auto& b) { return a.key < b.key; });
@@ -342,8 +350,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
         const std::int64_t i = mc.id();
         for (const Message& msg : mc.inbox()) {
           if (msg.tag == tags::kSplitters) {
-            splitters[static_cast<std::size_t>(i)] =
-                msg.decode<std::int64_t>();
+            splitters[static_cast<std::size_t>(i)] = msg.payload;
           }
         }
         const std::int64_t rank = i - group_base(i);
@@ -396,9 +403,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
     c.run_round([&](MachineCtx& mc) {
       auto& v = dv.local(mc.id());
       for (const Message& msg : mc.inbox()) {
-        if (msg.tag != tags::kFragment) continue;
-        auto items = msg.decode<T>();
-        v.insert(v.end(), items.begin(), items.end());
+        if (msg.tag == tags::kFragment) msg.decode_append(v);
       }
       std::sort(v.begin(), v.end(), by_key);
     });

@@ -3,8 +3,8 @@
 // The model: m machines with s words of memory each, input size n,
 // m = O(n^δ), s = Õ(n^{1−δ}). An algorithm is *fully scalable* if it works
 // for every constant 0 < δ < 1. The simulator enforces the space bound per
-// round (message traffic and resident data) and counts rounds — the model's
-// complexity measure.
+// round (outgoing and incoming traffic, resident data, and their sum) and
+// counts rounds — the model's complexity measure.
 #pragma once
 
 #include <algorithm>

@@ -6,16 +6,20 @@
 // shards unbalanced (e.g. mid-sort); `is_balanced()` tells whether the
 // canonical layout currently holds.
 //
-// Shard contents are registered with the cluster's resident-space auditor,
-// so the per-round space checks see them — and with the cluster's
-// checkpoint/restore protocol (ResidentHooks), so crash recovery can roll
-// a shard back to the round-entry snapshot: checkpoint serializes a shard
-// through the util/codec.h word codec, restore reinstates it bit-exactly.
+// Shard contents are registered with the cluster's resident-space audit
+// once, at construction, so the per-round space checks see them — and with
+// the cluster's checkpoint/restore protocol (ResidentHooks), so crash
+// recovery can roll a shard back to the round-entry snapshot: checkpoint
+// serializes a shard through the util/codec.h word codec, restore
+// reinstates it bit-exactly. The hooks point at the heap-held shard array,
+// which a move hands over whole, so a moved vector keeps its registration
+// and every live structure is counted exactly once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mpc/cluster.h"
@@ -61,13 +65,13 @@ class DistVector {
   DistVector(Cluster& cluster, std::int64_t n)
       : cluster_(&cluster),
         layout_{n, cluster.machines()},
-        shards_(std::make_shared<std::vector<std::vector<T>>>(
+        shards_(std::make_unique<std::vector<std::vector<T>>>(
             static_cast<std::size_t>(cluster.machines()))) {
     for (std::int64_t i = 0; i < cluster.machines(); ++i) {
       (*shards_)[static_cast<std::size_t>(i)].resize(
           static_cast<std::size_t>(layout_.size(i)));
     }
-    register_auditor();
+    register_resident();
   }
 
   /// Loads host data as the initial (already distributed) input; this
@@ -98,31 +102,20 @@ class DistVector {
     return out;
   }
 
-  ~DistVector() {
-    if (auditor_id_ >= 0) cluster_->unregister_resident(auditor_id_);
-  }
+  ~DistVector() { unregister_resident(); }
 
   DistVector(DistVector&& other) noexcept
       : cluster_(other.cluster_),
         layout_(other.layout_),
-        shards_(std::move(other.shards_)) {
-    if (other.auditor_id_ >= 0) {
-      cluster_->unregister_resident(other.auditor_id_);
-      other.auditor_id_ = -1;
-    }
-    register_auditor();
-  }
+        shards_(std::move(other.shards_)),
+        resident_id_(std::exchange(other.resident_id_, -1)) {}
   DistVector& operator=(DistVector&& other) noexcept {
     if (this != &other) {
-      if (auditor_id_ >= 0) cluster_->unregister_resident(auditor_id_);
-      if (other.auditor_id_ >= 0) {
-        cluster_->unregister_resident(other.auditor_id_);
-        other.auditor_id_ = -1;
-      }
+      unregister_resident();
       cluster_ = other.cluster_;
       layout_ = other.layout_;
       shards_ = std::move(other.shards_);
-      register_auditor();
+      resident_id_ = std::exchange(other.resident_id_, -1);
     }
     return *this;
   }
@@ -152,15 +145,15 @@ class DistVector {
   }
 
  private:
-  void register_auditor() {
+  void register_resident() {
     constexpr std::int64_t words_per =
-        static_cast<std::int64_t>((sizeof(T) + 7) / 8);
-    auto shards = shards_;  // keep alive inside the hooks
+        static_cast<std::int64_t>(util::kWordsPerItem<T>);
+    std::vector<std::vector<T>>* shards = shards_.get();
     ResidentHooks hooks;
-    hooks.words = [shards](std::int64_t machine) {
-      return static_cast<std::int64_t>(
-                 (*shards)[static_cast<std::size_t>(machine)].size()) *
-             words_per;
+    hooks.add_words = [shards](std::span<std::int64_t> words) {
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        words[i] += static_cast<std::int64_t>((*shards)[i].size()) * words_per;
+      }
     };
     hooks.checkpoint = [shards](std::int64_t machine) {
       return util::pack_words<T>((*shards)[static_cast<std::size_t>(machine)]);
@@ -170,13 +163,17 @@ class DistVector {
       (*shards)[static_cast<std::size_t>(machine)] =
           util::unpack_words<T>(blob);
     };
-    auditor_id_ = cluster_->register_resident(std::move(hooks));
+    resident_id_ = cluster_->register_resident(std::move(hooks));
+  }
+  void unregister_resident() {
+    if (resident_id_ >= 0) cluster_->unregister_resident(resident_id_);
   }
 
   Cluster* cluster_;
   BlockLayout layout_;
-  std::shared_ptr<std::vector<std::vector<T>>> shards_;
-  std::int64_t auditor_id_ = -1;
+  std::unique_ptr<std::vector<std::vector<T>>> shards_;
+  /// Registration with cluster_'s audit; -1 once moved from.
+  std::int64_t resident_id_ = -1;
 };
 
 }  // namespace monge::mpc

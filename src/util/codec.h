@@ -29,24 +29,33 @@ namespace monge::util {
 template <typename T>
 inline constexpr std::size_t kWordsPerItem = (sizeof(T) + 7) / 8;
 
+/// Writes one item into its kWordsPerItem<T>-word stride at `words`; the
+/// caller hands in zeroed words, so the padding bytes stay zero.
+template <typename T>
+void pack_item(const T& item, std::int64_t* words) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(words, &item, sizeof(T));
+}
+
 /// Packs an array of T into a flat word array, one kWordsPerItem<T> stride
 /// per item; padding bytes are zeroed so packed payloads compare equal.
 template <typename T>
 std::vector<std::int64_t> pack_words(std::span<const T> items) {
-  static_assert(std::is_trivially_copyable_v<T>);
   constexpr std::size_t wpe = kWordsPerItem<T>;
   std::vector<std::int64_t> words(items.size() * wpe, 0);
   for (std::size_t i = 0; i < items.size(); ++i) {
-    std::memcpy(words.data() + i * wpe, &items[i], sizeof(T));
+    pack_item(items[i], words.data() + i * wpe);
   }
   return words;
 }
 
-/// Inverse of pack_words: words.size() must be a whole number of item
-/// strides — a truncated or corrupted payload throws monge::CodecError
+/// Inverse of pack_words, appending the decoded items to `out`:
+/// words.size() must be a whole number of item strides — a truncated or
+/// corrupted payload throws monge::CodecError, before anything is appended,
 /// instead of misdecoding.
 template <typename T>
-std::vector<T> unpack_words(std::span<const std::int64_t> words) {
+void unpack_words_append(std::span<const std::int64_t> words,
+                         std::vector<T>& out) {
   static_assert(std::is_trivially_copyable_v<T>);
   constexpr std::size_t wpe = kWordsPerItem<T>;
   if (words.size() % wpe != 0) {
@@ -54,14 +63,22 @@ std::vector<T> unpack_words(std::span<const std::int64_t> words) {
                      " words is not a whole number of " +
                      std::to_string(wpe) + "-word items");
   }
-  std::vector<T> items(words.size() / wpe);
-  for (std::size_t i = 0; i < items.size(); ++i) {
+  const std::size_t base = out.size();
+  out.resize(base + words.size() / wpe);
+  for (std::size_t i = 0; i < words.size() / wpe; ++i) {
     // The static_assert above makes the memcpy well-defined even when T is
     // "non-trivial" only through default member initializers; the void* cast
     // tells -Wclass-memaccess exactly that.
-    std::memcpy(static_cast<void*>(&items[i]), words.data() + i * wpe,
+    std::memcpy(static_cast<void*>(&out[base + i]), words.data() + i * wpe,
                 sizeof(T));
   }
+}
+
+/// Inverse of pack_words into a fresh array (see unpack_words_append).
+template <typename T>
+std::vector<T> unpack_words(std::span<const std::int64_t> words) {
+  std::vector<T> items;
+  unpack_words_append(words, items);
   return items;
 }
 

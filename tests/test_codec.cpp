@@ -114,6 +114,17 @@ TEST(Codec, MessageDecodeRejectsCorruptPayload) {
   EXPECT_THROW(msg.decode<ThreeInts>(), CodecError);
   msg.payload = {1, 2, 3, 4};
   EXPECT_NO_THROW(msg.decode<ThreeInts>());
+
+  // decode_append checks the same, before it appends anything, and
+  // otherwise appends behind what the receiver already holds.
+  std::vector<ThreeInts> out{{9, 9, 9}};
+  msg.payload = {1, 2, 3};
+  EXPECT_THROW(msg.decode_append(out), CodecError);
+  EXPECT_EQ(out, (std::vector<ThreeInts>{{9, 9, 9}}));
+  const std::vector<ThreeInts> more{{1, 2, 3}, {4, 5, 6}};
+  msg.payload = pack_words<ThreeInts>(more);
+  msg.decode_append(out);
+  EXPECT_EQ(out, (std::vector<ThreeInts>{{9, 9, 9}, {1, 2, 3}, {4, 5, 6}}));
 }
 
 }  // namespace

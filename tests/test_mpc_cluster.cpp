@@ -5,7 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "mpc/dist_vector.h"
 
@@ -130,14 +133,135 @@ TEST(Cluster, ResidentAuditing) {
   Cluster c(small_config(2, /*space=*/64, /*strict=*/true));
   {
     DistVector<std::int64_t> dv(c, 100);  // 50 words per machine
-    EXPECT_EQ(c.resident_words(0), 50);
+    EXPECT_EQ(c.resident_words()[0], 50);
     EXPECT_NO_THROW(c.run_round([](MachineCtx&) {}));
     DistVector<std::int64_t> dv2(c, 60);  // +30 words -> 80 > 64
     EXPECT_THROW(c.run_round([](MachineCtx&) {}), SpaceLimitError);
   }
   // Auditors unregistered on destruction.
-  EXPECT_EQ(c.resident_words(0), 0);
+  EXPECT_EQ(c.resident_words()[0], 0);
   EXPECT_NO_THROW(c.run_round([](MachineCtx&) {}));
+
+  // An audit-only registration (no checkpoint/restore) counts once per
+  // round, per machine, alongside a DistVector, until it is unregistered.
+  DistVector<std::int64_t> dv(c, 100);  // 50 words per machine
+  const std::int64_t id = c.register_resident(
+      ResidentHooks{.add_words = [](std::span<std::int64_t> words) {
+        for (std::size_t i = 0; i < words.size(); ++i) {
+          words[i] += 7 + static_cast<std::int64_t>(i);
+        }
+      }});
+  EXPECT_EQ(c.resident_words(), (std::vector<std::int64_t>{57, 58}));
+  c.reset_stats();
+  EXPECT_NO_THROW(c.run_round([](MachineCtx&) {}));
+  EXPECT_EQ(c.stats().max_resident_words, 58);
+  c.unregister_resident(id);
+  c.reset_stats();
+  EXPECT_NO_THROW(c.run_round([](MachineCtx&) {}));
+  EXPECT_EQ(c.stats().max_resident_words, 50);
+}
+
+TEST(Cluster, FootprintSumIsBoundedAndRecorded) {
+  // Every part fits s = 64 on its own — outbox 22, inbox 22, resident 40 —
+  // but machine 0 keeps 84 words in all during the round.
+  const auto swap_round = [](Cluster& c) {
+    c.run_round([](MachineCtx& mc) {
+      mc.send(1 - mc.id(), 0, std::vector<Word>(20, 1));
+    });
+  };
+  {
+    Cluster c(small_config(2, /*space=*/64, /*strict=*/true));
+    DistVector<std::int64_t> dv(c, 80);  // 40 words per machine
+    try {
+      swap_round(c);
+      FAIL() << "expected SpaceLimitError";
+    } catch (const SpaceLimitError& e) {
+      EXPECT_EQ(e.machine(), 0);
+      EXPECT_EQ(e.words(), 22 + 22 + 40);
+      EXPECT_EQ(e.limit(), 64);
+    }
+    EXPECT_EQ(c.rounds(), 0);
+  }
+  {
+    Cluster c(small_config(2, /*space=*/64, /*strict=*/false));
+    DistVector<std::int64_t> dv(c, 80);
+    swap_round(c);
+    EXPECT_EQ(c.stats().max_machine_words, 22 + 22 + 40);
+    EXPECT_EQ(c.stats().max_resident_words, 40);
+    EXPECT_EQ(c.rounds(), 1);
+  }
+}
+
+TEST(Cluster, FootprintCheckRunsAfterPerPartChecks) {
+  // Machines 0 and 1 break only the sum (22 + 22 words), while machine 3
+  // receives 2 x 33 = 66 > 64 words: the per-part diagnostic wins even
+  // though it names a higher machine.
+  Cluster c(small_config(5, /*space=*/64, /*strict=*/true));
+  try {
+    c.run_round([](MachineCtx& mc) {
+      if (mc.id() < 2) mc.send(1 - mc.id(), 0, std::vector<Word>(20, 1));
+      if (mc.id() == 2 || mc.id() == 4) {
+        mc.send(3, 0, std::vector<Word>(31, 1));
+      }
+    });
+    FAIL() << "expected SpaceLimitError";
+  } catch (const SpaceLimitError& e) {
+    EXPECT_EQ(e.machine(), 3);
+    EXPECT_EQ(e.words(), 66);
+    EXPECT_NE(std::string(e.what()).find("incoming traffic"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cluster, ThrownRoundDoesNotLeakOutboxes) {
+  // A round that throws before routing delivers nothing: the next round
+  // still reads the inbox the last good round delivered, and the aborted
+  // sends never arrive. One that throws after routing (an inbox over s)
+  // has already delivered, so its messages are the next round's inbox.
+  Cluster c(small_config(3, /*space=*/16, /*strict=*/true));
+  const auto inbox_of = [&c](std::int64_t machine) {
+    std::vector<std::vector<Word>> got;
+    c.run_round([&](MachineCtx& mc) {
+      if (mc.id() != machine) return;
+      for (const Message& msg : mc.inbox()) got.push_back(msg.payload);
+    });
+    return got;
+  };
+  c.run_round([](MachineCtx& mc) {
+    if (mc.id() == 0) mc.send(1, 0, {7});
+  });
+  // Closure error on machine 2, after machine 0 queued a message.
+  EXPECT_THROW(c.run_round([](MachineCtx& mc) {
+    if (mc.id() == 0) mc.send(1, 0, {99});
+    if (mc.id() == 2) throw std::runtime_error("boom");
+  }),
+               std::runtime_error);
+  EXPECT_EQ(inbox_of(1), (std::vector<std::vector<Word>>{{7}}));
+  EXPECT_TRUE(inbox_of(1).empty());
+
+  c.run_round([](MachineCtx& mc) {
+    if (mc.id() == 0) mc.send(1, 0, {8});
+  });
+  // Outgoing traffic over s: thrown before routing.
+  EXPECT_THROW(c.run_round([](MachineCtx& mc) {
+    if (mc.id() == 0) mc.send(1, 0, {1, 2, 3});
+    if (mc.id() == 2) mc.send(1, 0, std::vector<Word>(20, 5));
+  }),
+               SpaceLimitError);
+  EXPECT_EQ(inbox_of(1), (std::vector<std::vector<Word>>{{8}}));
+  EXPECT_TRUE(inbox_of(1).empty());
+
+  // Incoming traffic over s (2 x 10 words): thrown after routing.
+  EXPECT_THROW(c.run_round([](MachineCtx& mc) {
+    if (mc.id() != 1) mc.send(1, 0, std::vector<Word>(8, mc.id()));
+  }),
+               SpaceLimitError);
+  EXPECT_EQ(inbox_of(1), (std::vector<std::vector<Word>>{
+                             std::vector<Word>(8, 0), std::vector<Word>(8, 2)}));
+  EXPECT_TRUE(inbox_of(1).empty());
+
+  EXPECT_EQ(c.rounds(), 8);  // the three thrown rounds do not count
 }
 
 TEST(Cluster, FullyScalableConfigShapes) {
@@ -346,9 +470,10 @@ TEST(ClusterChaos, CrashWithNonRecoverableResidentIsUnrecoverable) {
                                   FaultKind::kCrash});
   Cluster c(cfg);
   // Audit-only registration: words but no checkpoint/restore hooks.
-  const std::int64_t id = c.register_resident([](std::int64_t) {
-    return std::int64_t{1};
-  });
+  const std::int64_t id = c.register_resident(
+      ResidentHooks{.add_words = [](std::span<std::int64_t> words) {
+        for (std::int64_t& w : words) w += 1;
+      }});
   EXPECT_THROW(c.run_round([](MachineCtx&) {}), FaultError);
   c.unregister_resident(id);
 }
@@ -388,13 +513,34 @@ TEST(ClusterChaos, StragglersAreCountedButHarmless) {
 
 TEST(DistVectorTest, MoveKeepsAuditingConsistent) {
   Cluster c(small_config(2));
+  // The round audit's peak resident words over one empty round.
+  const auto audited = [&c] {
+    c.reset_stats();
+    c.run_round([](MachineCtx&) {});
+    return c.stats().max_resident_words;
+  };
   DistVector<std::int64_t> a(c, 100);
-  const std::int64_t before = c.resident_words(0);
+  const std::int64_t before = c.resident_words()[0];
+  EXPECT_EQ(audited(), before);
   DistVector<std::int64_t> b = std::move(a);
-  EXPECT_EQ(c.resident_words(0), before);  // no double counting
+  EXPECT_EQ(c.resident_words()[0], before);  // no double counting
+  EXPECT_EQ(audited(), before);
   DistVector<std::int64_t> d(c, 10);
+  EXPECT_EQ(audited(), before + 5);
   d = std::move(b);
-  EXPECT_EQ(c.resident_words(0), before);  // old shard of d released
+  EXPECT_EQ(c.resident_words()[0], before);  // old shard of d released
+  EXPECT_EQ(audited(), before);
+  {
+    // Uneven shards and multi-word items: 3 two-word items on 2 machines.
+    struct Wide {
+      std::int64_t x, y;
+    };
+    DistVector<Wide> w(c, 3);
+    EXPECT_EQ(c.resident_words(),
+              (std::vector<std::int64_t>{before + 2, before + 4}));
+    EXPECT_EQ(audited(), before + 4);
+  }
+  EXPECT_EQ(audited(), before);  // destroyed between rounds
 }
 
 }  // namespace

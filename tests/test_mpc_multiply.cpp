@@ -7,6 +7,8 @@
 #include <string>
 
 #include "core/mpc_subperm.h"
+#include "lis/mpc_lis.h"
+#include "lis/sequential.h"
 #include "monge/distribution.h"
 #include "monge/seaweed.h"
 #include "monge/subperm.h"
@@ -312,6 +314,60 @@ TEST(MpcMultiply, StrictSpaceComplianceAtPaperSchedule) {
                                              paper_profile(n, cluster));
     EXPECT_EQ(got, seaweed_multiply(a, b));
   });
+}
+
+// ---------------------------------------------------------------------------
+// The paper's measures on the MpcSim path, pinned.
+//
+// LIS and a full multiply at n = 2^10 on the δ = 1/2 fully scalable
+// cluster with default options — the configuration the Solver's MpcSim
+// backend provisions — at 1 and 3 cluster threads. Rounds, words sent,
+// the peak machine footprint and the peak resident words are exact counts
+// that a change to the round engine must not move. They were captured
+// from the engine before it reused its per-round buffers, batched the
+// resident audit and routed without sorting. Only the LIS peak differs
+// from that capture (3179 words), because max_machine_words counts the
+// outbox too since the same change.
+// ---------------------------------------------------------------------------
+TEST(MpcGolden, PaperMeasuresOnFullyScalableCluster) {
+  const std::int64_t n = 1 << 10;
+  Rng rng(1810);
+  std::vector<std::int64_t> seq(static_cast<std::size_t>(n));
+  for (auto& x : seq) x = rng.next_in(0, std::int64_t{1} << 40);
+  const Perm a = Perm::random(n, rng);
+  const Perm b = Perm::random(n, rng);
+  const Perm product = seaweed_multiply(a, b);
+
+  for (const unsigned threads : {1u, 3u}) {
+    mpc::MpcConfig cfg = mpc::MpcConfig::fully_scalable(n, 0.5);
+    cfg.threads = threads;
+    ASSERT_EQ(cfg.num_machines, 32);
+    ASSERT_EQ(cfg.space_words, 7680);
+    {
+      mpc::Cluster cluster(cfg);
+      const lis::MpcLisResult res = lis::mpc_lis(cluster, seq);
+      EXPECT_EQ(res.lis, 63) << "threads=" << threads;
+      EXPECT_EQ(res.lis, lis::lis_length(seq));
+      EXPECT_EQ(res.rounds, 18096) << "threads=" << threads;
+      const mpc::ClusterStats& s = cluster.stats();
+      EXPECT_EQ(s.rounds, 18096) << "threads=" << threads;
+      EXPECT_EQ(s.total_comm_words, 7839968) << "threads=" << threads;
+      EXPECT_EQ(s.max_machine_words, 3337) << "threads=" << threads;
+      EXPECT_EQ(s.max_resident_words, 1525) << "threads=" << threads;
+    }
+    {
+      mpc::Cluster cluster(cfg);
+      MpcMultiplyReport rep;
+      EXPECT_EQ(mpc_unit_monge_multiply(cluster, a, b, {}, &rep), product)
+          << "threads=" << threads;
+      EXPECT_EQ(rep.rounds, 6497) << "threads=" << threads;
+      const mpc::ClusterStats& s = cluster.stats();
+      EXPECT_EQ(s.rounds, 6497) << "threads=" << threads;
+      EXPECT_EQ(s.total_comm_words, 2817989) << "threads=" << threads;
+      EXPECT_EQ(s.max_machine_words, 3115) << "threads=" << threads;
+      EXPECT_EQ(s.max_resident_words, 1455) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
