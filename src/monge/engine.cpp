@@ -147,6 +147,17 @@ struct Plan {
     if (n <= cutoff) return base_case_bytes(n);
     return sizes.at(n);
   }
+
+  /// Whether a size-n node forks its halves. The cache holds the sizes a
+  /// top-level call reaches by halving, but a dense block of the core-sparse
+  /// path can have any size, so its halves may be missing; such a node runs
+  /// its halves back-to-back, which needs no more than the forked budget
+  /// (the larger half's, not the sum).
+  bool fork_cached(std::int64_t n) const {
+    const std::int64_t m = n / 2;
+    return fork(n) && (m <= cutoff || sizes.contains(m)) &&
+           (n - m <= cutoff || sizes.contains(n - m));
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -316,7 +327,7 @@ void mul_rec(std::span<const std::int32_t> a, std::span<const std::int32_t> b,
   // Recurse, each child writing its result over its own input; the
   // subproblems are independent, so above the grain size they run
   // concurrently on disjoint arena slices.
-  if (plan.fork(n)) {
+  if (plan.fork_cached(n)) {
     const std::size_t mark = arena.mark();
     Arena lo_arena = arena.carve(plan.node_bytes_cached(m));
     Arena hi_arena = arena.carve(plan.node_bytes_cached(h));
@@ -465,10 +476,9 @@ void dcheck_full_permutation(std::span<const std::int32_t> p) {
 }
 #endif
 
-/// Solves batch entries [lo, hi), each in its pre-carved arena slice,
-/// forking recursively via invoke_two so the join work-helps (deadlock-free
-/// from pool workers, same as mul_rec's own forks). `solve(i)` runs entry i
-/// in arena slice i; shared by the full-permutation and subunit batches.
+/// Runs stripes [lo, hi), forking recursively via invoke_two (safe from
+/// pool workers, same as mul_rec's own forks). `solve(k)` runs stripe k;
+/// shared by the full-permutation and subunit batches.
 template <typename Solve>
 void batch_rec(std::size_t lo, std::size_t hi, ThreadPool* pool,
                const Solve& solve) {
@@ -481,34 +491,58 @@ void batch_rec(std::size_t lo, std::size_t hi, ThreadPool* pool,
                    [&] { batch_rec(mid, hi, pool, solve); });
 }
 
+/// One batch entry's fork measure (its core solve's n, the quantity
+/// Plan::fork compares with the grain) and its arena budget.
+struct EntryCost {
+  std::int64_t size;
+  std::size_t bytes;
+};
+
 /// The shared batch skeleton: validate + budget every entry up front
-/// (`budget_of(i)`, which must also populate the plan's size cache —
+/// (`cost_of(i)`, which must also populate the plan's size cache —
 /// single-threaded, so the striped solvers below only read it), size the
-/// arena ONCE for the whole batch, then either solve back-to-back on the
-/// shared span or carve one disjoint slice per entry and fork-join.
+/// arena ONCE for the whole batch, then solve. With a pool, the entries are
+/// cut into contiguous stripes: a stripe closes once its summed size
+/// reaches the grain, and a tail short of it joins the last stripe, so the
+/// cut depends on the sizes and the grain alone. Each stripe solves its
+/// entries back-to-back in one carved slice sized for its largest entry,
+/// and only stripes fork. A batch of one stripe (or without a pool) solves
+/// back-to-back on one arena sized for the largest entry.
 /// `arena_span(bytes)` is the engine's buffer accessor; `solve(i, arena)`
 /// runs entry i. Budgets are 64-byte multiples, so carving preserves
 /// alignment.
-template <typename ArenaSpanFn, typename BudgetFn, typename SolveFn>
+template <typename ArenaSpanFn, typename CostFn, typename SolveFn>
 void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
-                 BudgetFn budget_of, SolveFn solve) {
-  const bool stripe =
-      plan.pool != nullptr && plan.pool->thread_count() > 1 && count > 1;
-  std::vector<std::size_t> budgets;
-  if (stripe) budgets.reserve(count);
-  std::size_t max_budget = 0, sum_budget = 0;
+                 CostFn cost_of, SolveFn solve) {
+  struct Stripe {
+    std::size_t begin, end;
+    std::size_t bytes;  // the largest budget among [begin, end)
+  };
+  const bool pooled = plan.pool != nullptr && plan.pool->thread_count() > 1;
+  std::vector<Stripe> stripes;
+  std::size_t max_bytes = 0;
+  std::int64_t open_size = 0;  // summed size of the last stripe
   for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t budget = budget_of(i);
-    max_budget = std::max(max_budget, budget);
-    if (stripe) {
-      budgets.push_back(budget);
-      sum_budget += budget;
+    const EntryCost cost = cost_of(i);
+    max_bytes = std::max(max_bytes, cost.bytes);
+    if (!pooled) continue;
+    if (stripes.empty() || open_size >= plan.grain) {
+      stripes.push_back({i, i, 0});
+      open_size = 0;
     }
+    stripes.back().end = i + 1;
+    stripes.back().bytes = std::max(stripes.back().bytes, cost.bytes);
+    open_size += cost.size;
+  }
+  if (stripes.size() > 1 && open_size < plan.grain) {
+    const Stripe tail = stripes.back();
+    stripes.pop_back();
+    stripes.back().end = tail.end;
+    stripes.back().bytes = std::max(stripes.back().bytes, tail.bytes);
   }
 
-  if (!stripe) {
-    // One arena, sized once for the largest entry; solve back-to-back.
-    const auto span = arena_span(max_budget);
+  if (stripes.size() <= 1) {
+    const auto span = arena_span(max_bytes);
     for (std::size_t i = 0; i < count; ++i) {
       Arena arena(span.data(), span.size());
       solve(i, arena);
@@ -516,15 +550,19 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
     return;
   }
 
-  const auto span = arena_span(sum_budget);
+  std::size_t total_bytes = 0;
+  for (const Stripe& s : stripes) total_bytes += s.bytes;
+  const auto span = arena_span(total_bytes);
   Arena whole(span.data(), span.size());
-  std::vector<Arena> arenas;
-  arenas.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    arenas.push_back(whole.carve(budgets[i]));
-  }
-  batch_rec(0, count, plan.pool,
-            [&](std::size_t i) { solve(i, arenas[i]); });
+  std::vector<Arena> slices;
+  slices.reserve(stripes.size());
+  for (const Stripe& s : stripes) slices.push_back(whole.carve(s.bytes));
+  batch_rec(0, stripes.size(), plan.pool, [&](std::size_t k) {
+    for (std::size_t i = stripes[k].begin; i < stripes[k].end; ++i) {
+      Arena arena = slices[k];  // every entry starts at the slice's base
+      solve(i, arena);
+    }
+  });
 }
 
 /// Shared allocating wrapper for the *_raw_batch twins: size one output
@@ -767,7 +805,8 @@ void SeaweedEngine::multiply_batch_into(
         dcheck_full_permutation(pairs[i].first);
         dcheck_full_permutation(pairs[i].second);
 #endif
-        return plan.node_bytes(static_cast<std::int64_t>(pairs[i].first.size()));
+        const auto n = static_cast<std::int64_t>(pairs[i].first.size());
+        return EntryCost{n, plan.node_bytes(n)};
       },
       [&](std::size_t i, Arena& arena) {
         solve_adaptive(pairs[i].first, pairs[i].second, outs[i], arena, plan);
@@ -813,9 +852,11 @@ void SeaweedEngine::subunit_multiply_batch_into(
         [&](std::size_t i) {
           check_subunit_shapes(pairs[i].a, pairs[i].b, pairs[i].b_cols,
                                outs[i]);
-          return subunit_node_bytes(
-              plan, static_cast<std::int64_t>(pairs[i].a.size()),
-              static_cast<std::int64_t>(pairs[i].b.size()), pairs[i].b_cols);
+          const auto n2 = static_cast<std::int64_t>(pairs[i].b.size());
+          return EntryCost{
+              n2, subunit_node_bytes(
+                      plan, static_cast<std::int64_t>(pairs[i].a.size()), n2,
+                      pairs[i].b_cols)};
         },
         [&](std::size_t i, Arena& arena) {
           subunit_solve(pairs[i].a, pairs[i].b, pairs[i].b_cols, outs[i],

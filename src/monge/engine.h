@@ -7,13 +7,13 @@
 // allocations. Below a configurable cutoff it switches to a dense
 // distribution-matrix base case (the arena version of multiply_naive), and
 // above a configurable grain size it forks the two independent lo/hi
-// subproblems onto a ThreadPool (fork-join with caller work-helping, so
-// nested forks cannot deadlock). The per-node combine is the steady-ant
-// walk dispatched through steady_ant_simd.h (blocked descent + mask-select
-// resolution on the widest ISA the host offers; MONGE_FORCE_SCALAR pins it
-// back to the scalar walk). The result is bit-identical to
-// seaweed_multiply_reference_raw for every input: PA ⊡ PB is unique and
-// every combine path reproduces the same bits.
+// subproblems onto a ThreadPool (fork-join whose join takes back or waits
+// for its own fork, so nested forks cannot deadlock). The per-node combine
+// is the steady-ant walk dispatched through steady_ant_simd.h (blocked
+// descent + mask-select resolution on the widest ISA the host offers;
+// MONGE_FORCE_SCALAR pins it back to the scalar walk). The result is
+// bit-identical to seaweed_multiply_reference_raw for every input: PA ⊡ PB
+// is unique and every combine path reproduces the same bits.
 //
 // Input-size limit: the combine packs each point as (coord << 1) | color
 // in one int32, so every dimension a public entry point accepts (n for the
@@ -31,11 +31,15 @@
 //     the cubic base case turns pathological far below the upper bound —
 //     and construction throws on out-of-range values instead of silently
 //     rewriting the knob.
-//   * parallel_grain — subproblems larger than this fork their lo/hi
-//     halves onto the pool; smaller ones run sequentially on the calling
-//     thread. Must be >= 2 (a size-1 subproblem cannot fork; construction
-//     throws below that). Scheduling never affects results (subproblems
-//     write disjoint arena slices), only wall-clock.
+//   * parallel_grain — the least work handed to another thread.
+//     Subproblems larger than this fork their lo/hi halves onto the pool;
+//     a batch is cut into contiguous stripes whose entries' summed sizes
+//     reach it, and only stripes fork. Smaller work runs sequentially on
+//     the calling thread. Must be >= 2 (a size-1 subproblem cannot fork;
+//     construction throws below that). Stripe cuts depend on the entry
+//     sizes and the grain alone, never on the thread count, and scheduling
+//     never affects results (forks write disjoint arena slices), only
+//     wall-clock.
 //   * pool — optional ThreadPool; nullptr means fully sequential. The
 //     engine never owns the pool.
 //
@@ -102,7 +106,9 @@ struct SeaweedEngineOptions {
   /// Subproblems of size <= cutoff use the dense O(k^3) base case.
   /// Must be in [1, 256]; validated at construction.
   std::int64_t base_case_cutoff = 8;
-  /// Subproblems larger than this fork onto `pool` (when set). Must be
+  /// The least work handed to another thread of `pool` (when set): a
+  /// subproblem larger than this forks its halves, and a batch forks only
+  /// between stripes of entries whose sizes sum to at least this. Must be
   /// >= 2; validated at construction.
   std::int64_t parallel_grain = 1 << 13;
   /// Optional fork-join pool; nullptr runs fully sequential. Borrowed,
@@ -235,12 +241,16 @@ class SeaweedEngine {
   Perm multiply(const Perm& a, const Perm& b);
 
   /// Batched products PC_i = PA_i ⊡ PB_i. The arena is sized ONCE for the
-  /// whole batch (max subproblem budget when sequential, sum of budgets
-  /// when striped), then the pairs are solved back-to-back — or, when a
-  /// ThreadPool is configured, striped across it via invoke_two fork-join
-  /// (caller work-helping, so batches may be issued from pool workers).
-  /// Results are bit-identical to per-pair multiply_raw calls for every
-  /// thread count. Pairs may have mixed sizes, including 0 and 1.
+  /// whole batch, then the pairs are solved back-to-back. With a ThreadPool
+  /// configured, the batch is cut into contiguous stripes: a stripe closes
+  /// once its pairs' summed n reaches parallel_grain, and a tail short of
+  /// it joins the last stripe. Each stripe solves its pairs back-to-back
+  /// and the stripes fork-join via invoke_two (so batches may be issued
+  /// from pool workers). The arena holds the largest pair's budget for a
+  /// batch of one stripe (or without a pool), else the sum, over stripes,
+  /// of each stripe's largest budget. Results are bit-identical to
+  /// per-pair multiply_raw calls for every thread count and grain. Pairs
+  /// may have mixed sizes, including 0 and 1.
   ///
   /// @param pairs the (PA_i, PB_i) inputs; each pair's views must have
   ///     equal size and be full permutations.
@@ -292,12 +302,14 @@ class SeaweedEngine {
 
   /// Batched subunit products PC_i = PA_i ⊡ PB_i, the §4.1 reduction for a
   /// whole batch behind ONE arena sizing — mirroring the multiply_batch_into
-  /// contract. Sequentially the arena is sized once for the largest pair
-  /// and the pairs are solved back-to-back; with a ThreadPool configured
-  /// the batch is striped across the workers via invoke_two fork-join on
-  /// disjoint carved arena slices (caller work-helping, so batches may be
-  /// issued from pool workers — each stripe still runs its own core solve
-  /// sequentially unless the pair exceeds parallel_grain).
+  /// contract, with a pair's size being its inner dimension b.size().
+  /// Sequentially, or when the batch forms one stripe, the arena is sized
+  /// once for the largest pair and the pairs are solved back-to-back. With
+  /// a ThreadPool configured, stripes whose summed sizes reach
+  /// parallel_grain fork-join via invoke_two on disjoint carved slices, and
+  /// the arena holds the sum, over stripes, of each stripe's largest
+  /// budget (batches may be issued from pool workers; a pair's own core
+  /// solve forks only when it exceeds parallel_grain).
   ///
   /// Deterministic: bit-identical to per-pair subunit_multiply_into calls
   /// for every thread count and batch shape. Pairs may have mixed and

@@ -282,11 +282,13 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
     if (error) std::rethrow_exception(error);
   }
 
-  // Outgoing traffic, tallied by send() with each message's envelope.
+  // Outgoing traffic, tallied by send() with each message's envelope; it
+  // counts toward total_comm_words only once the round completes.
+  std::int64_t round_words = 0;
   for (std::int64_t i = 0; i < m; ++i) {
     const std::int64_t out = ctxs_[static_cast<std::size_t>(i)].out_words_;
     check_space(i, out, "outgoing traffic of");
-    stats_.total_comm_words += out;
+    round_words += out;
   }
 
   // Route: clear old inboxes, deliver new messages sorted by sender. With
@@ -344,6 +346,7 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
     check_space(i, footprint(static_cast<std::size_t>(i)),
                 "footprint (outbox + inbox + resident) of");
   }
+  stats_.total_comm_words += round_words;
   ++stats_.rounds;
 }
 

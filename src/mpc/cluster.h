@@ -128,6 +128,8 @@ inline RecoveryStats operator-(RecoveryStats a, const RecoveryStats& b) {
 
 struct ClusterStats {
   std::int64_t rounds = 0;
+  /// Words sent (payload plus envelope) in completed rounds; a round that
+  /// throws adds none, like it adds no round.
   std::int64_t total_comm_words = 0;
   /// Peak over rounds and machines of outbox + inbox + resident words: what
   /// a machine sent in a round, what was routed to it, and what it keeps

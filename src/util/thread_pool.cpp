@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 
 #include "util/check.h"
 #include "util/math.h"
@@ -59,17 +60,27 @@ void ThreadPool::invoke_two(const std::function<void()>& a,
     return;
   }
 
-  // `b` and the join state are captured by reference: invoke_two never
-  // returns before the enqueued task completes (the join loop below holds
-  // until `done`, on every path), so the caller's frame outlives the task.
+  // Whoever claims `b` first runs it: a worker through the queued wrapper,
+  // or the caller's join, which takes it back. The wrapper stays queued
+  // after a take-back and later runs as a no-op, so the state it touches
+  // then lives on the heap; it reaches `b` on the caller's frame only after
+  // claiming it, and the join waits for `done` in that case.
   struct Join {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool claimed = false;
     bool done = false;
     std::exception_ptr error;
   };
-  Join join;
+  const auto join = std::make_shared<Join>();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push([this, &join, &b] {
+    tasks_.push([join, &b] {
+      {
+        std::lock_guard<std::mutex> inner(join->mu);
+        if (join->claimed) return;
+        join->claimed = true;
+      }
       std::exception_ptr error;
       try {
         b();
@@ -77,11 +88,11 @@ void ThreadPool::invoke_two(const std::function<void()>& a,
         error = std::current_exception();
       }
       {
-        std::lock_guard<std::mutex> inner(mu_);
-        join.error = error;
-        join.done = true;
+        std::lock_guard<std::mutex> inner(join->mu);
+        join->error = error;
+        join->done = true;
       }
-      cv_.notify_all();
+      join->cv.notify_one();
     });
   }
   cv_.notify_one();
@@ -93,31 +104,32 @@ void ThreadPool::invoke_two(const std::function<void()>& a,
     error_a = std::current_exception();
   }
 
-  // Join: drain queued tasks (ours or anybody's) while `b` is pending. This
-  // guarantees progress even when every worker is itself blocked in a
-  // nested invoke_two. A helped task that throws must not abort the join —
-  // returning with `b` still queued would dangle the captured references —
-  // so its exception is held until `b` has completed.
-  std::exception_ptr error_helped;
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return join.done || !tasks_.empty(); });
-      if (join.done) break;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+  // Join: take `b` back if no worker started it, else wait for that
+  // worker. No other queued task runs here, so the caller's stack holds
+  // only its own fork tree. Every wait is for a started task that never
+  // waits on an unstarted one, so nested forks cannot deadlock.
+  std::exception_ptr error_b;
+  bool taken = false;
+  {
+    std::unique_lock<std::mutex> lock(join->mu);
+    if (!join->claimed) {
+      join->claimed = true;
+      taken = true;
+    } else {
+      join->cv.wait(lock, [&] { return join->done; });
+      error_b = join->error;
     }
+  }
+  if (taken) {
     try {
-      task();
+      b();
     } catch (...) {
-      if (!error_helped) error_helped = std::current_exception();
+      error_b = std::current_exception();
     }
   }
 
   if (error_a) std::rethrow_exception(error_a);
-  if (join.error) std::rethrow_exception(join.error);
-  if (error_helped) std::rethrow_exception(error_helped);
+  if (error_b) std::rethrow_exception(error_b);
 }
 
 void ThreadPool::parallel_for(std::int64_t n,

@@ -54,10 +54,13 @@ class ThreadPool {
 
   /// Fork-join: runs `a` and `b`, potentially concurrently, returning once
   /// both finished. `b` is offered to the pool while the caller runs `a`
-  /// inline; while joining, the caller helps execute queued tasks instead of
-  /// blocking, so invoke_two may be nested arbitrarily (including from
-  /// worker threads) without deadlock. If `a` throws it is rethrown first,
-  /// otherwise `b`'s exception is rethrown.
+  /// inline. The join then takes `b` back and runs it inline if no worker
+  /// has started it, or waits for the worker that has. It never runs any
+  /// other queued task, so a caller's stack holds only its own fork tree.
+  /// invoke_two may be nested arbitrarily (including from worker threads)
+  /// without deadlock: a join only ever waits for a started task. `b` runs
+  /// even when `a` throws; `a`'s exception is rethrown first, otherwise
+  /// `b`'s.
   void invoke_two(const std::function<void()>& a,
                   const std::function<void()>& b);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "lis/kernel.h"
 #include "monge/distribution.h"
 #include "monge/seaweed.h"
@@ -14,10 +16,15 @@ namespace monge {
 namespace {
 
 using testing::all_permutations;
+using testing::nearly_sorted_perm;
 
 std::vector<std::int32_t> random_raw_perm(std::int64_t n, Rng& rng) {
   return rng.permutation(n);
 }
+
+/// Grains the striping suites run at: below, near and above the tiny
+/// entries' summed sizes, so stripes hold one entry or several.
+constexpr std::int64_t kStripeGrains[] = {16, 64, 1024};
 
 TEST(SeaweedEngine, ExhaustiveSmallPermutations) {
   for (const std::int64_t cutoff : {1, 2, 3, 8}) {
@@ -188,6 +195,32 @@ TEST(SeaweedEngine, DeterministicUnderThreadCounts) {
   }
 }
 
+// A core-sparse node's dense block can have any size, so the budgets of
+// its halves may be missing from the size cache: a pooled engine must run
+// such a block's halves back-to-back instead of failing the lookup. Here
+// one shuffled window of 300 sits in a nearly identical n = 2048 pair.
+TEST(SeaweedEngine, PooledDenseBlockAboveGrainMatchesSequential) {
+  Rng rng(8);
+  const std::int64_t n = 2048;
+  std::vector<std::int32_t> a(static_cast<std::size_t>(n));
+  std::iota(a.begin(), a.end(), 0);
+  std::vector<std::int32_t> b = a;
+  for (auto* p : {&a, &b}) {
+    for (std::int64_t i = 299; i > 0; --i) {
+      std::swap((*p)[static_cast<std::size_t>(100 + i)],
+                (*p)[static_cast<std::size_t>(100 + rng.next_in(0, i))]);
+    }
+  }
+  ThreadPool pool(3);
+  SeaweedEngine pooled({.parallel_grain = 64, .pool = &pool});
+  SeaweedEngine sequential;
+  const auto before = pooled.representation_stats();
+  EXPECT_EQ(pooled.multiply_raw(a, b), sequential.multiply_raw(a, b));
+  const auto delta = pooled.representation_stats() - before;
+  EXPECT_EQ(delta, sequential.representation_stats());
+  EXPECT_GT(delta.blocks_dense, 0);
+}
+
 // Nested invoke_two from pool workers must not deadlock even when the
 // fork tree is much deeper than the worker count.
 TEST(ThreadPool, InvokeTwoNestedFork) {
@@ -255,28 +288,55 @@ TEST(SeaweedEngineBatch, MatchesPerPairMultiplyFuzz) {
   EXPECT_GE(cases, 1000);
 }
 
-// Striping across a ThreadPool must not change a single bit, for every
-// thread count and batch shape; repeated on the warm arena.
+// Striping across a ThreadPool must not change a single bit or a
+// representation counter, for every thread count, grain and batch shape;
+// repeated on the warm arena. The second batch mixes many tiny pairs with
+// pairs above the grain, so some stripes hold several pairs.
 TEST(SeaweedEngineBatch, StripedAcrossPoolMatchesSequential) {
   Rng rng(4242);
-  std::vector<std::vector<std::int32_t>> as, bs;
-  std::vector<PermPairView> views;
+  std::vector<std::vector<std::vector<std::int32_t>>> as(2), bs(2);
   for (const std::int64_t n : {0, 1, 7, 64, 65, 128, 300, 33, 2, 511}) {
-    as.push_back(rng.permutation(n));
-    bs.push_back(rng.permutation(n));
+    as[0].push_back(rng.permutation(n));
+    bs[0].push_back(rng.permutation(n));
   }
-  for (std::size_t t = 0; t < as.size(); ++t) views.push_back({as[t], bs[t]});
-  SeaweedEngine sequential;
-  const auto expect = sequential.multiply_raw_batch(views);
-  for (const unsigned threads : {2u, 3u, 4u}) {
-    ThreadPool pool(threads);
-    // A tiny grain also forces forking inside the larger pairs, nesting
-    // invoke_two under the batch fork-join.
-    SeaweedEngine striped({.parallel_grain = 64, .pool = &pool});
-    ASSERT_EQ(striped.multiply_raw_batch(views), expect)
-        << "threads=" << threads;
-    ASSERT_EQ(striped.multiply_raw_batch(views), expect)
-        << "threads=" << threads << " (warm arena)";
+  for (int t = 0; t < 64; ++t) {
+    if (t % 16 == 5) {
+      const std::int64_t n = 1024 + 100 * (t / 16);
+      const bool sorted = t % 32 == 5;
+      as[1].push_back(sorted ? nearly_sorted_perm(n, 8, rng)
+                             : rng.permutation(n));
+      bs[1].push_back(sorted ? nearly_sorted_perm(n, 8, rng)
+                             : rng.permutation(n));
+    } else {
+      as[1].push_back(rng.permutation(t % 13));
+      bs[1].push_back(rng.permutation(t % 13));
+    }
+  }
+  for (std::size_t k = 0; k < as.size(); ++k) {
+    std::vector<PermPairView> views;
+    for (std::size_t t = 0; t < as[k].size(); ++t) {
+      views.push_back({as[k][t], bs[k][t]});
+    }
+    SeaweedEngine sequential;
+    const auto expect = sequential.multiply_raw_batch(views);
+    const RepresentationStats expect_rep = sequential.representation_stats();
+    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+      ThreadPool pool(threads);
+      for (const std::int64_t grain : kStripeGrains) {
+        // Grains below the larger pairs also fork inside them, nesting
+        // invoke_two under the batch fork-join.
+        SeaweedEngine striped({.parallel_grain = grain, .pool = &pool});
+        for (const char* arena : {"cold", "warm"}) {
+          const auto before = striped.representation_stats();
+          ASSERT_EQ(striped.multiply_raw_batch(views), expect)
+              << "batch=" << k << " threads=" << threads
+              << " grain=" << grain << " arena=" << arena;
+          ASSERT_EQ(striped.representation_stats() - before, expect_rep)
+              << "batch=" << k << " threads=" << threads
+              << " grain=" << grain << " arena=" << arena;
+        }
+      }
+    }
   }
 }
 
@@ -401,24 +461,76 @@ TEST(SeaweedEngineSubunitBatch, MatchesPerCallFuzz) {
 }
 
 // Striping a subunit batch across a ThreadPool must not change a single
-// bit, for every thread count; repeated on the warm arena.
+// bit or a representation counter, for every thread count and grain;
+// repeated on the warm arena. The second batch mixes many tiny pairs with
+// pairs above the grain, so some stripes hold several pairs.
 TEST(SeaweedEngineSubunitBatch, StripedAcrossPoolMatchesSequential) {
   Rng rng(777);
-  SubunitBatchInputs in;
-  for (int t = 0; t < 24; ++t) push_random_subunit_pair(in, rng);
-  finalize_views(in);
-  SeaweedEngine sequential;
-  const auto expect = sequential.subunit_multiply_raw_batch(in.views);
-  for (const unsigned threads : {2u, 3u, 4u}) {
-    ThreadPool pool(threads);
-    // A tiny grain also forces forking inside the larger core solves,
-    // nesting invoke_two under the batch fork-join.
-    SeaweedEngine striped({.parallel_grain = 32, .pool = &pool});
-    ASSERT_EQ(striped.subunit_multiply_raw_batch(in.views), expect)
-        << "threads=" << threads;
-    ASSERT_EQ(striped.subunit_multiply_raw_batch(in.views), expect)
-        << "threads=" << threads << " (warm arena)";
+  std::vector<SubunitBatchInputs> batches(2);
+  for (int t = 0; t < 24; ++t) push_random_subunit_pair(batches[0], rng);
+  SubunitBatchInputs& mixed = batches[1];
+  for (int t = 0; t < 64; ++t) {
+    if (t % 16 == 5) {
+      const std::int64_t n = 1024 + 100 * (t / 16);
+      if (t % 32 == 5) {
+        mixed.as.push_back(nearly_sorted_perm(n, 8, rng));
+        mixed.bs.push_back(nearly_sorted_perm(n, 8, rng));
+        mixed.b_cols.push_back(n);
+      } else {
+        mixed.as.push_back(
+            Perm::random_sub(n - 50, n, n - 80, rng).row_to_col());
+        mixed.bs.push_back(
+            Perm::random_sub(n, n + 30, n - 60, rng).row_to_col());
+        mixed.b_cols.push_back(n + 30);
+      }
+    } else {
+      push_random_subunit_pair(mixed, rng);
+    }
   }
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    SubunitBatchInputs& in = batches[k];
+    finalize_views(in);
+    SeaweedEngine sequential;
+    const auto expect = sequential.subunit_multiply_raw_batch(in.views);
+    const RepresentationStats expect_rep = sequential.representation_stats();
+    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+      ThreadPool pool(threads);
+      for (const std::int64_t grain : kStripeGrains) {
+        // Grains below the larger core solves also fork inside them,
+        // nesting invoke_two under the batch fork-join.
+        SeaweedEngine striped({.parallel_grain = grain, .pool = &pool});
+        for (const char* arena : {"cold", "warm"}) {
+          const auto before = striped.representation_stats();
+          ASSERT_EQ(striped.subunit_multiply_raw_batch(in.views), expect)
+              << "batch=" << k << " threads=" << threads
+              << " grain=" << grain << " arena=" << arena;
+          ASSERT_EQ(striped.representation_stats() - before, expect_rep)
+              << "batch=" << k << " threads=" << threads
+              << " grain=" << grain << " arena=" << arena;
+        }
+      }
+    }
+  }
+}
+
+// A batch whose summed size stays under the grain forms one stripe: a
+// pooled engine solves it back-to-back in an arena sized for its largest
+// pair, exactly like a pool-less engine, not one carved slice per pair.
+TEST(SeaweedEngineSubunitBatch, BatchUnderGrainNeedsNoMoreArenaThanSequential) {
+  Rng rng(31339);
+  SubunitBatchInputs in;
+  for (int t = 0; t < 64; ++t) {
+    in.as.push_back(Perm::random_sub(100, 100, 80, rng).row_to_col());
+    in.bs.push_back(Perm::random_sub(100, 100, 80, rng).row_to_col());
+    in.b_cols.push_back(100);
+  }
+  finalize_views(in);
+  ThreadPool pool(3);
+  SeaweedEngine pooled({.pool = &pool});
+  SeaweedEngine sequential;
+  EXPECT_EQ(pooled.subunit_multiply_raw_batch(in.views),
+            sequential.subunit_multiply_raw_batch(in.views));
+  EXPECT_EQ(pooled.arena_capacity(), sequential.arena_capacity());
 }
 
 TEST(SeaweedEngineSubunitBatch, EmptyBatchAndDegeneratePairs) {

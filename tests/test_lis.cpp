@@ -245,24 +245,41 @@ TEST(LisKernelLevelOrder, OneBatchedEngineCallPerLevel) {
 }
 
 // lis_kernel_batch must match per-input lis_kernel (mixed sizes, including
-// empty and single-element inputs), sequentially and with a striping pool.
+// empty and single-element inputs), sequentially and with a striping pool
+// at every thread count and grain, down to the representation counters.
+// The second forest mixes many tiny inputs with inputs above the grain, so
+// a level's stripes hold several merges.
 TEST(LisKernelLevelOrder, BatchMatchesPerInput) {
   Rng rng(424242);
-  std::vector<std::vector<std::int32_t>> perms;
+  std::vector<std::vector<std::vector<std::int32_t>>> forests(2);
   for (const std::int64_t n : {17, 0, 1, 64, 5, 33, 128, 2, 0, 90}) {
-    perms.push_back(rng.permutation(n));
+    forests[0].push_back(rng.permutation(n));
   }
-  const auto batch = lis_kernel_batch(perms);
-  ASSERT_EQ(batch.size(), perms.size());
-  for (std::size_t t = 0; t < perms.size(); ++t) {
-    ASSERT_EQ(batch[t], lis_kernel(perms[t])) << "input " << t;
-  }
+  for (int t = 0; t < 40; ++t) forests[1].push_back(rng.permutation(t % 11));
+  forests[1].push_back(rng.permutation(1500));
+  forests[1].insert(forests[1].begin() + 20,
+                    testing::nearly_sorted_perm(2000, 12, rng));
   EXPECT_TRUE(lis_kernel_batch({}).empty());
-  for (const unsigned threads : {2u, 4u}) {
-    ThreadPool pool(threads);
-    SeaweedEngine striped({.parallel_grain = 64, .pool = &pool});
-    ASSERT_EQ(lis_kernel_batch(perms, striped), batch)
-        << "threads=" << threads;
+  for (std::size_t k = 0; k < forests.size(); ++k) {
+    const auto& perms = forests[k];
+    SeaweedEngine sequential;
+    const auto batch = lis_kernel_batch(perms, sequential);
+    const RepresentationStats expect_rep = sequential.representation_stats();
+    ASSERT_EQ(batch.size(), perms.size());
+    for (std::size_t t = 0; t < perms.size(); ++t) {
+      ASSERT_EQ(batch[t], lis_kernel(perms[t]))
+          << "forest=" << k << " input=" << t;
+    }
+    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+      ThreadPool pool(threads);
+      for (const std::int64_t grain : {16, 64, 1024}) {
+        SeaweedEngine striped({.parallel_grain = grain, .pool = &pool});
+        ASSERT_EQ(lis_kernel_batch(perms, striped), batch)
+            << "forest=" << k << " threads=" << threads << " grain=" << grain;
+        EXPECT_EQ(striped.representation_stats(), expect_rep)
+            << "forest=" << k << " threads=" << threads << " grain=" << grain;
+      }
+    }
   }
 }
 

@@ -243,20 +243,26 @@ TEST(Cluster, ThrownRoundDoesNotLeakOutboxes) {
   c.run_round([](MachineCtx& mc) {
     if (mc.id() == 0) mc.send(1, 0, {8});
   });
-  // Outgoing traffic over s: thrown before routing.
+  // Outgoing traffic over s: thrown before routing. Machine 0's words,
+  // checked before machine 2's, are not counted either.
+  std::int64_t words = c.stats().total_comm_words;
   EXPECT_THROW(c.run_round([](MachineCtx& mc) {
     if (mc.id() == 0) mc.send(1, 0, {1, 2, 3});
     if (mc.id() == 2) mc.send(1, 0, std::vector<Word>(20, 5));
   }),
                SpaceLimitError);
+  EXPECT_EQ(c.stats().total_comm_words, words);
   EXPECT_EQ(inbox_of(1), (std::vector<std::vector<Word>>{{8}}));
   EXPECT_TRUE(inbox_of(1).empty());
 
-  // Incoming traffic over s (2 x 10 words): thrown after routing.
+  // Incoming traffic over s (2 x 10 words): thrown after routing, and
+  // still no words count.
+  words = c.stats().total_comm_words;
   EXPECT_THROW(c.run_round([](MachineCtx& mc) {
     if (mc.id() != 1) mc.send(1, 0, std::vector<Word>(8, mc.id()));
   }),
                SpaceLimitError);
+  EXPECT_EQ(c.stats().total_comm_words, words);
   EXPECT_EQ(inbox_of(1), (std::vector<std::vector<Word>>{
                              std::vector<Word>(8, 0), std::vector<Word>(8, 2)}));
   EXPECT_TRUE(inbox_of(1).empty());

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <latch>
 #include <memory>
@@ -173,6 +174,37 @@ TEST(ThreadPool, ShutdownDrainsQueuedWorkAndRefusesLatePosts) {
   }
   EXPECT_EQ(futs.back().get(), 99);
   EXPECT_NE(late_post_accepted.load(), -1);
+}
+
+// A join takes its own `b` back or waits for the worker that started it;
+// it never runs another queued task. Each posted task forks two sleeps and
+// records how many posted tasks its thread is inside: a join that ran
+// queued work would start other posted tasks on its own stack.
+TEST(ThreadPool, JoinRunsNoForeignTasks) {
+  constexpr int kTasks = 64;
+  thread_local int nesting = 0;
+  std::atomic<int> max_nesting{0};
+  std::latch finished(kTasks);
+  {
+    ThreadPool pool(3);
+    const std::function<void()> nap = [] {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    };
+    for (int t = 0; t < kTasks; ++t) {
+      ASSERT_TRUE(pool.post([&] {
+        const int depth = ++nesting;
+        int seen = max_nesting.load(std::memory_order_relaxed);
+        while (depth > seen && !max_nesting.compare_exchange_weak(
+                                   seen, depth, std::memory_order_relaxed)) {
+        }
+        pool.invoke_two(nap, nap);
+        --nesting;
+        finished.count_down();
+      }));
+    }
+    finished.wait();
+  }
+  EXPECT_EQ(max_nesting.load(), 1);
 }
 
 TEST(Table, RendersAlignedColumns) {

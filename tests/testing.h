@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "monge/delta.h"
 #include "monge/distribution.h"
 #include "monge/permutation.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace monge::testing {
 
@@ -70,6 +73,19 @@ inline std::vector<std::vector<std::int32_t>> all_permutations(int n) {
     out.push_back(p);
   } while (std::next_permutation(p.begin(), p.end()));
   return out;
+}
+
+/// Identity with `swaps` random neighbour transpositions: a nearly sorted
+/// input whose probed engine nodes take the core-sparse block path.
+inline std::vector<std::int32_t> nearly_sorted_perm(std::int64_t n, int swaps,
+                                                    Rng& rng) {
+  std::vector<std::int32_t> p(static_cast<std::size_t>(n));
+  std::iota(p.begin(), p.end(), 0);
+  for (int s = 0; s < swaps && n >= 2; ++s) {
+    const auto i = static_cast<std::size_t>(rng.next_in(0, n - 2));
+    std::swap(p[i], p[i + 1]);
+  }
+  return p;
 }
 
 }  // namespace monge::testing
