@@ -9,7 +9,7 @@
 // exactly what a LisRequest{windows} did before the query tier existed.
 // Because a full n = 2^14 kernel build per query is ~5 orders of
 // magnitude slower than a lookup, the baseline is measured on a subsample
-// (--baseline-resolves, reported in the snapshot) and its qps computed
+// (--baseline-resolves, reported in the output) and its qps computed
 // from the per-query mean; the index side serves every query. The offline
 // middle ground — ONE kernel build, then the whole batch through the
 // Fenwick sweep — is also reported for context.
@@ -17,7 +17,7 @@
 // Usage:
 //   bench_query [--n N] [--queries Q] [--baseline-resolves B] [--seed S]
 //               [--json PATH]
-// BENCH_query.json is a committed run of this.
+// --json also writes the numbers to PATH as one JSON object.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
         index_p99, resolve_qps, resolve_mean_ms, offline_qps, speedup,
         index_qps / offline_qps);
     std::fclose(f);
-    std::printf("snapshot written to %s\n", o.json);
+    std::printf("results written to %s\n", o.json);
   }
   return 0;
 }

@@ -22,6 +22,15 @@ using namespace monge;
 
 namespace {
 
+/// One product on the engine's raw entry: a batch of one.
+void multiply_one(SeaweedEngine& engine, const std::vector<std::int32_t>& a,
+                  const std::vector<std::int32_t>& b,
+                  std::vector<std::int32_t>& out) {
+  const PermPairView pair{a, b};
+  const std::span<std::int32_t> dst(out);
+  engine.multiply_batch_into({&pair, 1}, {&dst, 1});
+}
+
 // Public API path (routes through the thread-local engine).
 void BM_SeaweedMultiply(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -31,9 +40,8 @@ void BM_SeaweedMultiply(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(seaweed_multiply(a, b));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SeaweedMultiply)->Range(1 << 8, 1 << 14)->Complexity();
+BENCHMARK(BM_SeaweedMultiply)->Range(1 << 8, 1 << 14);
 
 // The seed's textbook recursion (~8 fresh std::vectors per node), kept as
 // the baseline the engine is measured against.
@@ -45,9 +53,8 @@ void BM_SeaweedReference(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(seaweed_multiply_reference_raw(a, b));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SeaweedReference)->Range(1 << 8, 1 << 14)->Complexity();
+BENCHMARK(BM_SeaweedReference)->Range(1 << 8, 1 << 14);
 
 // Engine with a warm arena and default knobs, sequential.
 void BM_SeaweedEngine(benchmark::State& state) {
@@ -58,12 +65,11 @@ void BM_SeaweedEngine(benchmark::State& state) {
   SeaweedEngine engine;
   std::vector<std::int32_t> out(a.size());
   for (auto _ : state) {
-    engine.multiply_into(a, b, out);
+    multiply_one(engine, a, b, out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SeaweedEngine)->Range(1 << 8, 1 << 14)->Complexity();
+BENCHMARK(BM_SeaweedEngine)->Range(1 << 8, 1 << 14);
 
 // Base-case cutoff sweep at fixed n (tuning knob for
 // SeaweedEngineOptions::base_case_cutoff).
@@ -76,7 +82,7 @@ void BM_SeaweedEngineCutoff(benchmark::State& state) {
   SeaweedEngine engine({.base_case_cutoff = cutoff});
   std::vector<std::int32_t> out(a.size());
   for (auto _ : state) {
-    engine.multiply_into(a, b, out);
+    multiply_one(engine, a, b, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -96,7 +102,7 @@ void BM_SeaweedEngineThreads(benchmark::State& state) {
       {.parallel_grain = n / 16, .pool = threads > 1 ? &pool : nullptr});
   std::vector<std::int32_t> out(a.size());
   for (auto _ : state) {
-    engine.multiply_into(a, b, out);
+    multiply_one(engine, a, b, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -104,8 +110,8 @@ BENCHMARK(BM_SeaweedEngineThreads)->DenseRange(1, 4)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Batched engine leaf solves: one recursion level's worth of MPC leaves
-// (64 independent G-sized products) as a single multiply_batch_into call
-// vs 64 independent multiply_raw calls on an equally warm engine. The
+// (64 independent G-sized products) as a single multiply_batch_into call,
+// the call shape the MPC simulator's machine-local leaf solve issues. The
 // batch pays one arena sizing and zero per-leaf output allocations.
 // ---------------------------------------------------------------------------
 
@@ -151,48 +157,7 @@ void BM_SeaweedEngineLeafBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SeaweedEngineLeafBatch)->Arg(64)->Arg(256)->Arg(1024);
 
-// N independent multiply_raw calls on a warm shared engine (the arena is
-// already sized; each call still pays its own size-cache lookup and output
-// allocation).
-void BM_SeaweedEngineLeafSingles(benchmark::State& state) {
-  const std::int64_t g = state.range(0);
-  const std::int64_t pairs = 64;
-  Rng rng(5);
-  LeafBatch batch = make_leaf_batch(g, pairs, rng);
-  SeaweedEngine engine;
-  for (auto _ : state) {
-    for (std::int64_t t = 0; t < pairs; ++t) {
-      benchmark::DoNotOptimize(engine.multiply_raw(
-          batch.views[static_cast<std::size_t>(t)].first,
-          batch.views[static_cast<std::size_t>(t)].second));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * pairs);
-}
-BENCHMARK(BM_SeaweedEngineLeafSingles)->Arg(64)->Arg(256)->Arg(1024);
-
-// N independent multiply_raw calls, each paying its own arena sizing (a
-// fresh engine per call: size-budget recursion, buffer allocation and
-// zeroing) — the per-leaf cost shape the batch API removes.
-void BM_SeaweedEngineLeafSinglesColdArena(benchmark::State& state) {
-  const std::int64_t g = state.range(0);
-  const std::int64_t pairs = 64;
-  Rng rng(5);
-  LeafBatch batch = make_leaf_batch(g, pairs, rng);
-  for (auto _ : state) {
-    for (std::int64_t t = 0; t < pairs; ++t) {
-      SeaweedEngine engine;
-      benchmark::DoNotOptimize(engine.multiply_raw(
-          batch.views[static_cast<std::size_t>(t)].first,
-          batch.views[static_cast<std::size_t>(t)].second));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * pairs);
-}
-BENCHMARK(BM_SeaweedEngineLeafSinglesColdArena)->Arg(64)->Arg(256)->Arg(1024);
-
-// Striping the same 64×256 batch across a ThreadPool (flat on a
-// single-core host by construction; see ROADMAP).
+// Striping the same 64×256 batch across a ThreadPool.
 void BM_SeaweedEngineBatchThreads(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   Rng rng(5);
@@ -220,9 +185,8 @@ void BM_SubunitDirect(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(subunit_multiply(a, b, engine));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SubunitDirect)->Range(1 << 8, 1 << 12)->Complexity();
+BENCHMARK(BM_SubunitDirect)->Range(1 << 8, 1 << 12);
 
 void BM_SubunitPadded(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -233,18 +197,15 @@ void BM_SubunitPadded(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(subunit_multiply_padded(a, b, engine));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SubunitPadded)->Range(1 << 8, 1 << 12)->Complexity();
+BENCHMARK(BM_SubunitPadded)->Range(1 << 8, 1 << 12);
 
 // ---------------------------------------------------------------------------
 // Batched subunit solves: one LIS-kernel merge level's worth of subunit
 // products (32 independent pairs of half-density n×n sub-permutations) as a
-// single subunit_multiply_batch_into call vs 32 per-call
-// subunit_multiply_into solves on an equally warm engine. The batch pays
-// one arena sizing for the level; this is the call shape the level-order
-// lis_kernel issues once per merge level. A/B deltas on the single-core
-// dev box need interleaved repetitions (see README).
+// single subunit_multiply_batch_into call. The batch pays one arena sizing
+// for the level; this is the call shape the level-order lis_kernel issues
+// once per merge level.
 // ---------------------------------------------------------------------------
 
 struct SubunitLevel {
@@ -285,24 +246,6 @@ void BM_SubunitBatchLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_SubunitBatchLevel)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_SubunitBatchSingles(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  const std::int64_t pairs = 32;
-  Rng rng(17);
-  SubunitLevel level = make_subunit_level(n, pairs, rng);
-  SeaweedEngine engine;
-  for (auto _ : state) {
-    for (std::int64_t t = 0; t < pairs; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      engine.subunit_multiply_into(level.views[i].a, level.views[i].b,
-                                   level.views[i].b_cols, level.outs[i]);
-    }
-    benchmark::DoNotOptimize(level.out_backing.data());
-  }
-  state.SetItemsProcessed(state.iterations() * pairs);
-}
-BENCHMARK(BM_SubunitBatchSingles)->Arg(64)->Arg(256)->Arg(1024);
-
 // ---------------------------------------------------------------------------
 // Facade dispatch overhead: the same Perm-in/Perm-out full multiply once
 // through monge::Solver (request validation + routing + result wrapping)
@@ -310,10 +253,10 @@ BENCHMARK(BM_SubunitBatchSingles)->Arg(64)->Arg(256)->Arg(1024);
 // bit-identical by construction; the delta is the cost of the facade —
 // an O(1) shape check, the backend switch and the result move (the O(n)
 // full-permutation content check is NOT paid twice; the engine's own
-// validating entry point does it once). The true delta is sub-noise on
-// the 1-CPU dev box, so this A/B needs elevated repetitions:
+// validating entry point does it once). The true delta is below run-to-run
+// noise, so this A/B needs elevated repetitions:
 // --benchmark_repetitions=41 --benchmark_enable_random_interleaving=true,
-// compare medians (see README) — the acceptance bar is <= 2%.
+// compare medians (see README, Benchmarks) — the acceptance bar is <= 2%.
 // ---------------------------------------------------------------------------
 
 void BM_SolverDispatch(benchmark::State& state) {
@@ -324,9 +267,8 @@ void BM_SolverDispatch(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(req));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SolverDispatch)->Range(1 << 8, 1 << 14)->Complexity();
+BENCHMARK(BM_SolverDispatch)->Range(1 << 8, 1 << 14);
 
 // The delegate BM_SolverDispatch wraps: SeaweedEngine::multiply on an
 // equally warm engine (same validation, same output Perm construction).
@@ -339,9 +281,8 @@ void BM_SolverDispatchDirect(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.multiply(a, b));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SolverDispatchDirect)->Range(1 << 8, 1 << 14)->Complexity();
+BENCHMARK(BM_SolverDispatchDirect)->Range(1 << 8, 1 << 14);
 
 // ---------------------------------------------------------------------------
 // The representation layer: density-adaptive dispatch vs the dense-only
@@ -350,8 +291,8 @@ BENCHMARK(BM_SolverDispatchDirect)->Range(1 << 8, 1 << 14)->Complexity();
 // near-identical traffic) down to d = 1 (fully random, the dense regime
 // the probe must bail out of cheaply). Arg pair: (d, adaptive 0/1); both
 // variants produce bit-identical outputs, the delta is pure dispatch win
-// (sparse inputs) or pure probe overhead (dense inputs). Single-CPU dev
-// box: compare medians from interleaved repetitions (see README).
+// (sparse inputs) or pure probe overhead (dense inputs). Compare medians
+// from interleaved repetitions (see README, Benchmarks).
 // ---------------------------------------------------------------------------
 
 std::vector<std::int32_t> core_ratio_perm(std::int64_t n, std::int64_t denom,
@@ -383,7 +324,7 @@ void BM_CoreSparseVsDense(benchmark::State& state) {
   SeaweedEngine engine({.core_density_cutoff = adaptive ? 0.25 : 0.0});
   std::vector<std::int32_t> out(a.size());
   for (auto _ : state) {
-    engine.multiply_into(a, b, out);
+    multiply_one(engine, a, b, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["core_density_a"] =
@@ -400,9 +341,8 @@ void BM_NaiveMultiply(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(multiply_naive(a, b));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_NaiveMultiply)->Range(1 << 5, 1 << 8)->Complexity();
+BENCHMARK(BM_NaiveMultiply)->Range(1 << 5, 1 << 8);
 
 // ---------------------------------------------------------------------------
 // The full steady-ant combine, scalar vs the widest SIMD path in this
@@ -410,7 +350,7 @@ BENCHMARK(BM_NaiveMultiply)->Range(1 << 5, 1 << 8)->Complexity();
 // scatter, on a warm scratch set. Any row coloring of a full permutation
 // is a valid H=2 union, so a random coloring measures the real combine.
 // A/B per the bench-noise protocol: interleaved repetitions, compare
-// medians (see "Reproducing BENCH_seq_multiply.json" in README).
+// medians (see README, Benchmarks).
 // ---------------------------------------------------------------------------
 
 struct CombineCase {
@@ -441,13 +381,12 @@ void run_combine_bench(benchmark::State& state, SteadyAntIsa isa) {
     steady_ant_packed_into(isa, c.row_pk, c.col_pk, c.t, c.out);
     benchmark::DoNotOptimize(c.out.data());
   }
-  state.SetComplexityN(n);
 }
 
 void BM_SteadyAntCombineScalar(benchmark::State& state) {
   run_combine_bench(state, SteadyAntIsa::kScalar);
 }
-BENCHMARK(BM_SteadyAntCombineScalar)->Range(1 << 10, 1 << 18)->Complexity();
+BENCHMARK(BM_SteadyAntCombineScalar)->Range(1 << 10, 1 << 18);
 
 // The widest ISA compiled in AND supported by this host (the dispatched
 // default, ignoring MONGE_FORCE_SCALAR so the A/B stays an A/B); the
@@ -455,7 +394,7 @@ BENCHMARK(BM_SteadyAntCombineScalar)->Range(1 << 10, 1 << 18)->Complexity();
 void BM_SteadyAntCombineSimd(benchmark::State& state) {
   run_combine_bench(state, steady_ant_available_isas().back());
 }
-BENCHMARK(BM_SteadyAntCombineSimd)->Range(1 << 10, 1 << 18)->Complexity();
+BENCHMARK(BM_SteadyAntCombineSimd)->Range(1 << 10, 1 << 18);
 
 void BM_SteadyAnt(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -469,9 +408,8 @@ void BM_SteadyAnt(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(steady_ant_thresholds(rc, color));
   }
-  state.SetComplexityN(n);
 }
-BENCHMARK(BM_SteadyAnt)->Range(1 << 10, 1 << 18)->Complexity();
+BENCHMARK(BM_SteadyAnt)->Range(1 << 10, 1 << 18);
 
 }  // namespace
 

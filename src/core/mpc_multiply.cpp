@@ -541,8 +541,8 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
     }
     // Pack every leaf into one contiguous buffer and hand the whole batch
     // to this worker thread's engine in ONE call: a single arena sizing
-    // and zero per-leaf heap allocations, instead of one multiply_raw
-    // (with its own output vector) per leaf. Machines still run
+    // and zero per-leaf heap allocations, instead of one call (with its
+    // own output vector) per leaf. Machines still run
     // concurrently on the cluster pool; within a machine the batch is
     // solved back-to-back (the thread-local engine is sequential).
     std::int64_t total = 0;

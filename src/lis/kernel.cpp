@@ -54,7 +54,11 @@ std::vector<std::int32_t> kernel_rec(const std::vector<std::int32_t>& p,
           hi_pos[static_cast<std::size_t>(k_hi[i])];
     }
   }
-  return engine.subunit_multiply_raw(a, b, n);
+  std::vector<std::int32_t> out(static_cast<std::size_t>(n));
+  const SubunitPairView pair{a, b, n};
+  const std::span<std::int32_t> dst(out);
+  engine.subunit_multiply_batch_into({&pair, 1}, {&dst, 1});
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -70,8 +74,9 @@ std::vector<std::int32_t> kernel_rec(const std::vector<std::int32_t>& p,
 // SeaweedEngine::subunit_multiply_batch_into call — sharing a single arena
 // sizing and striping across the engine's pool. Auxiliary memory stays
 // O(n) (topology + cursors + one level's embeddings); the merge arrays are
-// exactly kernel_rec's and the engine batch is bit-identical to per-call
-// subunit_multiply_into, so the kernels match the reference bit for bit.
+// exactly kernel_rec's and the engine batch is bit-identical to
+// kernel_rec's batches of one, so the kernels match the reference bit for
+// bit.
 // ---------------------------------------------------------------------------
 
 /// One node of the value-split forest: topology plus the bottom-up kernel.

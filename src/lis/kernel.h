@@ -81,8 +81,9 @@ std::vector<Perm> lis_kernel_batch(
 std::vector<Perm> lis_kernel_batch(
     std::span<const std::vector<std::int32_t>> perms, SeaweedEngine& engine);
 
-/// The pre-batching depth-first recursion: one engine call
-/// (subunit_multiply_raw) per merge, O(n) calls total. Kept as the
+/// The pre-batching depth-first recursion: one engine call (a
+/// subunit_multiply_batch_into batch of one) per merge, O(n) calls total,
+/// each counted by subunit_batch_calls(). Kept as the
 /// differential-fuzz reference for the level-order builder and as the
 /// per-merge baseline in bench/lis_wallclock.
 ///

@@ -227,7 +227,8 @@ CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,
       a, b,
       [](std::span<const std::int32_t> da, std::span<const std::int32_t> db,
          std::span<std::int32_t> dc) {
-        default_seaweed_engine().multiply_into(da, db, dc);
+        const PermPairView pair{da, db};
+        default_seaweed_engine().multiply_batch_into({&pair, 1}, {&dc, 1});
       });
 }
 

@@ -161,8 +161,8 @@ using DenseBlockSolver = std::function<void(
 ///
 /// @param a left operand.
 /// @param b right operand; b.n() must equal a.n().
-/// @param solve_block dense solver for interacting blocks (e.g. a
-///     SeaweedEngine multiply_into wrapper).
+/// @param solve_block dense solver for interacting blocks (e.g. one
+///     SeaweedEngine::multiply_batch_into call on a batch of one).
 /// @return the product in core-sparse form; bit-identical (after to_dense)
 ///     to the dense engine product for every input.
 CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,

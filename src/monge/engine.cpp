@@ -518,7 +518,10 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
     std::size_t begin, end;
     std::size_t bytes;  // the largest budget among [begin, end)
   };
-  const bool pooled = plan.pool != nullptr && plan.pool->thread_count() > 1;
+  // A batch of one is one stripe by definition: skip the stripe list, so a
+  // single product allocates nothing on a pooled engine either.
+  const bool pooled =
+      count > 1 && plan.pool != nullptr && plan.pool->thread_count() > 1;
   std::vector<Stripe> stripes;
   std::size_t max_bytes = 0;
   std::int64_t open_size = 0;  // summed size of the last stripe
@@ -565,28 +568,12 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
   });
 }
 
-/// Shared allocating wrapper for the *_raw_batch twins: size one output
-/// vector per entry (`size_of(i)`), then run the into-variant over views.
-template <typename SizeFn, typename IntoFn>
-std::vector<std::vector<std::int32_t>> raw_batch(std::size_t count,
-                                                 SizeFn size_of, IntoFn into) {
-  std::vector<std::vector<std::int32_t>> out(count);
-  std::vector<std::span<std::int32_t>> views;
-  views.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].resize(size_of(i));
-    views.push_back(out[i]);
-  }
-  into(views);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // The §4.1 subunit reduction in arena scratch (compact both inputs, extend
 // to full n2×n2 permutations, core-solve over the padded-PA slot, read the
-// product out of the bottom-left block). Shared by subunit_multiply_into
-// and the batched entry point; the caller sizes the arena with
-// subunit_node_bytes and guarantees capacity.
+// product out of the bottom-left block). subunit_multiply_batch_into runs
+// it per entry; the caller sizes the arena with subunit_node_bytes and
+// guarantees capacity.
 // ---------------------------------------------------------------------------
 
 std::size_t subunit_node_bytes(Plan& plan, std::int64_t ra, std::int64_t n2,
@@ -762,30 +749,6 @@ std::span<std::byte> SeaweedEngine::arena_span(std::size_t bytes) {
   return {buffer_.data() + shift, buffer_.size() - shift};
 }
 
-void SeaweedEngine::multiply_into(std::span<const std::int32_t> a,
-                                  std::span<const std::int32_t> b,
-                                  std::span<std::int32_t> out) {
-  MONGE_CHECK(a.size() == b.size() && out.size() == a.size());
-  check_size_limit(a.size(), "n");
-#ifndef NDEBUG
-  dcheck_full_permutation(a);
-  dcheck_full_permutation(b);
-#endif
-  const auto n = static_cast<std::int64_t>(a.size());
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = 0;
-    return;
-  }
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
-  const auto span = arena_span(plan.node_bytes(n));
-  Arena arena(span.data(), span.size());
-  solve_adaptive(a, b, out, arena, plan);
-}
-
 void SeaweedEngine::multiply_batch_into(
     std::span<const PermPairView> pairs,
     std::span<const std::span<std::int32_t>> outs) {
@@ -811,30 +774,6 @@ void SeaweedEngine::multiply_batch_into(
       [&](std::size_t i, Arena& arena) {
         solve_adaptive(pairs[i].first, pairs[i].second, outs[i], arena, plan);
       });
-}
-
-std::vector<std::vector<std::int32_t>> SeaweedEngine::multiply_raw_batch(
-    std::span<const PermPairView> pairs) {
-  return raw_batch(
-      pairs.size(), [&](std::size_t i) { return pairs[i].first.size(); },
-      [&](std::span<const std::span<std::int32_t>> views) {
-        multiply_batch_into(pairs, views);
-      });
-}
-
-void SeaweedEngine::subunit_multiply_into(PermView a, PermView b,
-                                          std::int64_t b_cols,
-                                          std::span<std::int32_t> out) {
-  check_subunit_shapes(a, b, b_cols, out);
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
-  const auto span = arena_span(
-      subunit_node_bytes(plan, static_cast<std::int64_t>(a.size()),
-                         static_cast<std::int64_t>(b.size()), b_cols));
-  Arena arena(span.data(), span.size());
-  subunit_solve(a, b, b_cols, out, arena, plan);
 }
 
 void SeaweedEngine::subunit_multiply_batch_into(
@@ -868,36 +807,16 @@ void SeaweedEngine::subunit_multiply_batch_into(
   ++subunit_batch_calls_;
 }
 
-std::vector<std::vector<std::int32_t>> SeaweedEngine::subunit_multiply_raw_batch(
-    std::span<const SubunitPairView> pairs) {
-  return raw_batch(
-      pairs.size(), [&](std::size_t i) { return pairs[i].a.size(); },
-      [&](std::span<const std::span<std::int32_t>> views) {
-        subunit_multiply_batch_into(pairs, views);
-      });
-}
-
-std::vector<std::int32_t> SeaweedEngine::subunit_multiply_raw(
-    PermView a, PermView b, std::int64_t b_cols) {
-  std::vector<std::int32_t> out(a.size());
-  subunit_multiply_into(a, b, b_cols, out);
-  return out;
-}
-
-std::vector<std::int32_t> SeaweedEngine::multiply_raw(
-    std::span<const std::int32_t> a, std::span<const std::int32_t> b) {
-  std::vector<std::int32_t> out(a.size());
-  multiply_into(a, b, out);
-  return out;
-}
-
 Perm SeaweedEngine::multiply(const Perm& a, const Perm& b) {
   MONGE_CHECK_MSG(a.is_full_permutation() && b.is_full_permutation(),
                   "SeaweedEngine::multiply requires full permutations (use "
                   "subunit_multiply for sub-permutations)");
   MONGE_CHECK(a.cols() == b.rows());
-  return Perm::from_rows(multiply_raw(a.row_to_col(), b.row_to_col()),
-                         b.cols());
+  std::vector<std::int32_t> out(static_cast<std::size_t>(a.rows()));
+  const PermPairView pair{a.row_to_col(), b.row_to_col()};
+  const std::span<std::int32_t> dst(out);
+  multiply_batch_into({&pair, 1}, {&dst, 1});
+  return Perm::from_rows(std::move(out), b.cols());
 }
 
 SeaweedEngine& default_seaweed_engine() {

@@ -43,18 +43,18 @@
 //   * pool — optional ThreadPool; nullptr means fully sequential. The
 //     engine never owns the pool.
 //
-// Beyond the single-pair entry points the engine offers
-//   * multiply_raw_batch / multiply_batch_into — many independent products
-//     behind one arena sizing, solved back-to-back or striped across the
-//     pool (this is what the MPC simulator's machine-local leaf solve
-//     uses: one engine call per machine and level),
-//   * subunit_multiply_into — the §4.1 sub-permutation reduction run
+// The engine has one raw batch entry per product kind, plus a Perm entry:
+//   * multiply — a validating Perm-in/Perm-out full product (a batch of
+//     one), for callers that hold Perms,
+//   * multiply_batch_into — many independent full products behind one
+//     arena sizing, solved back-to-back or striped across the pool (the
+//     MPC simulator's machine-local leaf solve issues one call per machine
+//     and level), and
+//   * subunit_multiply_batch_into — the §4.1 sub-permutation reduction run
 //     directly on raw row->col arrays, with the compact/extend arithmetic
-//     in arena scratch instead of padded Perm temporaries, and
-//   * subunit_multiply_batch_into / subunit_multiply_raw_batch — the
-//     batched form of the subunit path (this is what the level-order LIS
-//     kernel uses: one engine call per merge level instead of one per
-//     merge).
+//     in arena scratch instead of padded Perm temporaries (the level-order
+//     LIS kernel issues one call per merge level).
+// A single raw product is a batch of one.
 //
 // Representation-adaptive dispatch: every entry point routes its recursion
 // nodes through a density probe (see core_density_cutoff below). Nodes
@@ -73,7 +73,7 @@
 // An engine instance is NOT thread-safe (it owns one arena); use one
 // engine per thread. default_seaweed_engine() returns a thread-local
 // sequential instance whose arena is reused across calls — this is what
-// the seaweed_multiply_raw / subunit_multiply wrappers use.
+// the seaweed_multiply / subunit_multiply wrappers use.
 #pragma once
 
 #include <atomic>
@@ -187,7 +187,7 @@ using PermPairView = std::pair<PermView, PermView>;
 
 /// One batched subunit product: PC = PA ⊡ PB for sub-permutation row->col
 /// arrays (kNone = empty row). `a` is a.size() × b.size(), `b` is
-/// b.size() × b_cols — the same shape contract as subunit_multiply_into.
+/// b.size() × b_cols.
 struct SubunitPairView {
   PermView a;
   PermView b;
@@ -207,129 +207,75 @@ class SeaweedEngine {
   SeaweedEngine(const SeaweedEngine&) = delete;
   SeaweedEngine& operator=(const SeaweedEngine&) = delete;
 
-  /// PC = PA ⊡ PB on raw row->col index arrays; both inputs must be full
-  /// permutations of [0, n) (validated in debug builds only).
-  ///
-  /// Deterministic: bit-identical to seaweed_multiply_reference_raw for
-  /// every input, every knob choice and every thread count. Reuses (and
-  /// possibly grows) the engine's arena; no other allocations after the
-  /// first call of a given size beyond the returned vector.
-  ///
-  /// @param a row->col array of PA (size n).
-  /// @param b row->col array of PB (size n).
-  /// @return row->col array of the product (size n).
-  std::vector<std::int32_t> multiply_raw(std::span<const std::int32_t> a,
-                                         std::span<const std::int32_t> b);
-
-  /// Allocation-free variant of multiply_raw: writes the product into
-  /// `out`. Same determinism and arena-reuse contract.
-  ///
-  /// @param a row->col array of PA (size n).
-  /// @param b row->col array of PB (size n).
-  /// @param out receives the product row->col array; must have size n and
-  ///     must not alias `a` or `b`.
-  void multiply_into(std::span<const std::int32_t> a,
-                     std::span<const std::int32_t> b,
-                     std::span<std::int32_t> out);
-
-  /// Validating Perm wrapper around multiply_raw (full permutations only;
-  /// use subunit_multiply / subunit_multiply_into for sub-permutations).
+  /// PC = PA ⊡ PB for full permutations, validated in every build (use
+  /// subunit_multiply for sub-permutations); solved as a batch of one
+  /// through multiply_batch_into. Deterministic: bit-identical to
+  /// seaweed_multiply_reference_raw for every input, knob choice and
+  /// thread count.
   ///
   /// @param a full permutation matrix PA.
   /// @param b full permutation matrix PB with b.rows() == a.cols().
   /// @return the product permutation PA ⊡ PB.
   Perm multiply(const Perm& a, const Perm& b);
 
-  /// Batched products PC_i = PA_i ⊡ PB_i. The arena is sized ONCE for the
-  /// whole batch, then the pairs are solved back-to-back. With a ThreadPool
-  /// configured, the batch is cut into contiguous stripes: a stripe closes
-  /// once its pairs' summed n reaches parallel_grain, and a tail short of
-  /// it joins the last stripe. Each stripe solves its pairs back-to-back
-  /// and the stripes fork-join via invoke_two (so batches may be issued
-  /// from pool workers). The arena holds the largest pair's budget for a
-  /// batch of one stripe (or without a pool), else the sum, over stripes,
-  /// of each stripe's largest budget. Results are bit-identical to
-  /// per-pair multiply_raw calls for every thread count and grain. Pairs
-  /// may have mixed sizes, including 0 and 1.
+  /// Batched products PC_i = PA_i ⊡ PB_i on raw row->col arrays; a single
+  /// product is a batch of one. The inputs are taken on trust in release
+  /// builds: each must be a full permutation of [0, n_i), which only debug
+  /// builds verify (multiply validates Perms in every build). Sizes are
+  /// always checked against kSeaweedEngineMaxN.
+  ///
+  /// The arena is sized ONCE for the whole batch, then the pairs are
+  /// solved back-to-back. With a ThreadPool configured, the batch is cut
+  /// into contiguous stripes: a stripe closes once its pairs' summed n
+  /// reaches parallel_grain, and a tail short of it joins the last stripe.
+  /// Each stripe solves its pairs back-to-back and the stripes fork-join
+  /// via invoke_two (so batches may be issued from pool workers). The
+  /// arena holds the largest pair's budget for a batch of one stripe (or
+  /// without a pool), else the sum, over stripes, of each stripe's largest
+  /// budget. Results are bit-identical to seaweed_multiply_reference_raw
+  /// for every pair, thread count and grain. Pairs may have mixed sizes,
+  /// including 0 and 1. This is what the MPC simulator's machine-local
+  /// leaf solve calls — one engine call per machine and level.
   ///
   /// @param pairs the (PA_i, PB_i) inputs; each pair's views must have
   ///     equal size and be full permutations.
-  /// @return one product row->col array per pair, in input order.
-  std::vector<std::vector<std::int32_t>> multiply_raw_batch(
-      std::span<const PermPairView> pairs);
-
-  /// Allocation-free batch core: solves pairs[i] into outs[i] (each the
-  /// size of its inputs). This is what the MPC simulator's machine-local
-  /// leaf solve calls — one engine call per worker and level instead of one
-  /// per leaf. Same arena-sizing, striping and determinism contract as
-  /// multiply_raw_batch.
-  ///
-  /// @param pairs the (PA_i, PB_i) inputs (full permutations, mixed sizes).
   /// @param outs one output span per pair, outs[i].size() ==
   ///     pairs[i].first.size(); outputs must not alias any input.
   void multiply_batch_into(std::span<const PermPairView> pairs,
                            std::span<const std::span<std::int32_t>> outs);
 
-  /// Direct subunit path (Theorem 1.2 without the Perm round-trip):
-  /// PC = PA ⊡ PB for sub-permutation row->col arrays (kNone = empty row).
-  /// `a` has a.size() rows and b.size() columns; `b` has b.size() rows and
-  /// `b_cols` columns. The §4.1 compact/extend arithmetic runs entirely in
-  /// the arena — no Perm construction and no heap temporaries — and the
-  /// core solve reuses the padded-PA slot as its output.
+  /// Batched subunit products PC_i = PA_i ⊡ PB_i (Theorem 1.2 through the
+  /// §4.1 reduction) on sub-permutation row->col arrays (kNone = empty
+  /// row); a single product is a batch of one. Entry i's `a` has
+  /// a.size() rows and b.size() columns, its `b` has b.size() rows and
+  /// b_cols columns. The compact/extend arithmetic runs entirely in the
+  /// arena — no Perm construction and no heap temporaries — and each core
+  /// solve reuses its padded-PA slot as its output. Sub-permutation
+  /// validity is checked in every build (it falls out of the compaction
+  /// pass), and every dimension against kSeaweedEngineMaxN.
   ///
-  /// Deterministic: bit-identical to subunit_multiply_padded's unpadded
-  /// result for every input and thread count. Sub-permutation validity of
-  /// the inputs is always checked (it falls out of the compaction pass).
-  ///
-  /// @param a row->col array of PA (kNone allowed), a.size() rows,
-  ///     b.size() columns.
-  /// @param b row->col array of PB (kNone allowed), b.size() rows, b_cols
-  ///     columns.
-  /// @param b_cols number of columns of PB (and of the product); >= 0.
-  /// @param out receives out[r] = product column of row r, or kNone;
-  ///     out.size() == a.size(). Must not alias `a` or `b`.
-  void subunit_multiply_into(PermView a, PermView b, std::int64_t b_cols,
-                             std::span<std::int32_t> out);
-
-  /// Allocating convenience wrapper around subunit_multiply_into.
-  ///
-  /// @param a row->col array of PA (kNone allowed).
-  /// @param b row->col array of PB (kNone allowed).
-  /// @param b_cols number of columns of PB; >= 0.
-  /// @return the product row->col array (size a.size(), kNone = empty row).
-  std::vector<std::int32_t> subunit_multiply_raw(PermView a, PermView b,
-                                                 std::int64_t b_cols);
-
-  /// Batched subunit products PC_i = PA_i ⊡ PB_i, the §4.1 reduction for a
-  /// whole batch behind ONE arena sizing — mirroring the multiply_batch_into
-  /// contract, with a pair's size being its inner dimension b.size().
-  /// Sequentially, or when the batch forms one stripe, the arena is sized
-  /// once for the largest pair and the pairs are solved back-to-back. With
-  /// a ThreadPool configured, stripes whose summed sizes reach
-  /// parallel_grain fork-join via invoke_two on disjoint carved slices, and
-  /// the arena holds the sum, over stripes, of each stripe's largest
-  /// budget (batches may be issued from pool workers; a pair's own core
+  /// Same arena and striping contract as multiply_batch_into, with a
+  /// pair's size being its inner dimension b.size(): sequentially, or
+  /// when the batch forms one stripe, the arena is sized once for the
+  /// largest pair and the pairs are solved back-to-back; with a ThreadPool
+  /// configured, stripes whose summed sizes reach parallel_grain fork-join
+  /// via invoke_two on disjoint carved slices, and the arena holds the
+  /// sum, over stripes, of each stripe's largest budget (a pair's own core
   /// solve forks only when it exceeds parallel_grain).
   ///
-  /// Deterministic: bit-identical to per-pair subunit_multiply_into calls
-  /// for every thread count and batch shape. Pairs may have mixed and
-  /// degenerate shapes (empty a/b, b_cols == 0, all-kNone rows). This is
-  /// what the level-order LIS kernel issues: one call per merge level.
+  /// Deterministic: bit-identical to subunit_multiply_padded's unpadded
+  /// result for every pair, thread count and batch shape. Pairs may have
+  /// mixed and degenerate shapes (empty a/b, b_cols == 0, all-kNone rows).
+  /// This is what the level-order LIS kernel issues: one call per merge
+  /// level.
   ///
-  /// @param pairs the (PA_i, PB_i, b_cols_i) inputs; shape contract per
-  ///     entry as in subunit_multiply_into.
+  /// @param pairs the (PA_i, PB_i, b_cols_i) inputs; b_cols_i >= 0.
   /// @param outs one output span per pair, outs[i].size() ==
-  ///     pairs[i].a.size(); outputs must not alias any input.
+  ///     pairs[i].a.size(); receives out[r] = product column of row r, or
+  ///     kNone. Outputs must not alias any input.
   void subunit_multiply_batch_into(
       std::span<const SubunitPairView> pairs,
       std::span<const std::span<std::int32_t>> outs);
-
-  /// Allocating convenience wrapper around subunit_multiply_batch_into.
-  ///
-  /// @param pairs the (PA_i, PB_i, b_cols_i) inputs.
-  /// @return one product row->col array per pair, in input order.
-  std::vector<std::vector<std::int32_t>> subunit_multiply_raw_batch(
-      std::span<const SubunitPairView> pairs);
 
   /// @return the engine's knobs, exactly as passed at construction (the
   ///     constructor validates instead of clamping, so the effective
@@ -338,8 +284,10 @@ class SeaweedEngine {
 
   /// Number of subunit_multiply_batch_into calls this engine has served
   /// to completion — calls that threw (validation or solve) are not
-  /// counted. One per LIS-kernel merge level; for tests asserting the
-  /// O(log n) call structure.
+  /// counted. Every subunit product the engine computes goes through it:
+  /// one call per LIS-kernel merge level, and one per single product
+  /// (subunit_multiply, a Solver kSubunit request). For tests asserting
+  /// the call structure.
   ///
   /// @return the lifetime completed batched-subunit call count.
   std::int64_t subunit_batch_calls() const { return subunit_batch_calls_; }
@@ -384,8 +332,8 @@ class SeaweedEngine {
 };
 
 /// Thread-local sequential engine with a persistent arena; backs the
-/// seaweed_multiply_raw / subunit_multiply compatibility wrappers and the
-/// MPC simulator's machine-local solves.
+/// seaweed_multiply / subunit_multiply wrappers and the MPC simulator's
+/// machine-local solves.
 ///
 /// @return the calling thread's engine (default options, no pool).
 SeaweedEngine& default_seaweed_engine();

@@ -12,26 +12,20 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "monge/permutation.h"
 
 namespace monge {
 
-/// Raw variant on index arrays (both inputs full permutations of [0,n)).
-/// Runs on the thread-local SeaweedEngine (see monge/engine.h): arena-backed
-/// and allocation-free (beyond the result) after the first call of a given
-/// size.
-std::vector<std::int32_t> seaweed_multiply_raw(std::span<const std::int32_t> a,
-                                               std::span<const std::int32_t> b);
-
 /// The textbook recursion (one fresh std::vector per node), kept as the
 /// reference baseline the engine is fuzzed and benchmarked against.
 std::vector<std::int32_t> seaweed_multiply_reference_raw(
     const std::vector<std::int32_t>& a, const std::vector<std::int32_t>& b);
 
-/// PC = PA ⊡ PB for full permutations (validating wrapper).
+/// PC = PA ⊡ PB for full permutations (validating wrapper): runs
+/// default_seaweed_engine().multiply(a, b) on the calling thread's engine
+/// (see monge/engine.h), whose arena is reused across calls.
 Perm seaweed_multiply(const Perm& a, const Perm& b);
 
 }  // namespace monge

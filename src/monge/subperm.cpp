@@ -12,8 +12,10 @@ Perm subunit_multiply(const Perm& a, const Perm& b) {
 Perm subunit_multiply(const Perm& a, const Perm& b, SeaweedEngine& engine) {
   MONGE_CHECK_MSG(a.cols() == b.rows(), "inner dimensions disagree: "
                                             << a.cols() << " vs " << b.rows());
-  std::vector<std::int32_t> out(static_cast<std::size_t>(a.rows()), kNone);
-  engine.subunit_multiply_into(a.row_to_col(), b.row_to_col(), b.cols(), out);
+  std::vector<std::int32_t> out(static_cast<std::size_t>(a.rows()));
+  const SubunitPairView pair{a.row_to_col(), b.row_to_col(), b.cols()};
+  const std::span<std::int32_t> dst(out);
+  engine.subunit_multiply_batch_into({&pair, 1}, {&dst, 1});
   return Perm::from_rows(std::move(out), b.cols());
 }
 
@@ -113,10 +115,7 @@ Perm subunit_multiply_padded(const Perm& a, const Perm& b,
   SubunitPadding info;
   const auto padded = subunit_pad_pair(a, b, info);
   if (info.empty) return Perm(info.out_rows, info.out_cols);
-  return subunit_unpad(
-      info, Perm::from_rows(engine.multiply_raw(padded.first.row_to_col(),
-                                                padded.second.row_to_col()),
-                            padded.first.cols()));
+  return subunit_unpad(info, engine.multiply(padded.first, padded.second));
 }
 
 }  // namespace monge

@@ -12,10 +12,10 @@
 //     ([∗ ∗; PC ∗] in the paper's display); the content of the ∗ blocks is
 //     irrelevant as long as P'A, P'B are permutations.
 //
-// `subunit_multiply` runs this directly on the engine
-// (SeaweedEngine::subunit_multiply_into): the compact/extend arithmetic
-// happens in arena scratch and the product is read straight out of the
-// core solve — no padded Perm temporaries. The explicit padding
+// `subunit_multiply` runs this directly on the engine, as a batch of one
+// through SeaweedEngine::subunit_multiply_batch_into: the compact/extend
+// arithmetic happens in arena scratch and the product is read straight out
+// of the core solve — no padded Perm temporaries. The explicit padding
 // (SubunitPadding / subunit_pad_pair / subunit_unpad) is kept both as the
 // legacy reference path (`subunit_multiply_padded`, differential-fuzzed
 // against the direct path) and for callers that must materialize the
@@ -44,7 +44,8 @@ Perm subunit_multiply(const Perm& a, const Perm& b);
 
 /// Same, but on a caller-provided engine (reusing its arena, and its thread
 /// pool if configured — results stay bit-identical for every thread
-/// count).
+/// count). One subunit_multiply_batch_into call, so it advances
+/// engine.subunit_batch_calls() by exactly 1.
 ///
 /// @param a sub-permutation PA (rA×n2).
 /// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().

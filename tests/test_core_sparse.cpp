@@ -32,6 +32,9 @@ namespace monge {
 namespace {
 
 using testing::all_permutations;
+using testing::engine_multiply;
+using testing::engine_multiply_batch;
+using testing::engine_subunit_multiply;
 
 std::vector<std::int32_t> identity_raw(std::int64_t n) {
   std::vector<std::int32_t> p(static_cast<std::size_t>(n));
@@ -85,7 +88,7 @@ SeaweedEngine& oracle_engine() {
 DenseBlockSolver oracle_block_solver() {
   return [](std::span<const std::int32_t> a, std::span<const std::int32_t> b,
             std::span<std::int32_t> out) {
-    oracle_engine().multiply_into(a, b, out);
+    engine_multiply(oracle_engine(), a, b, out);
   };
 }
 
@@ -221,7 +224,7 @@ TEST(CoreSparseMultiply, ExhaustiveSmallPermutations) {
         const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(pa),
                                               CoreSparsePerm::from_dense(pb),
                                               oracle_block_solver());
-        ASSERT_EQ(got.to_dense(), oracle_engine().multiply_raw(pa, pb))
+        ASSERT_EQ(got.to_dense(), engine_multiply(oracle_engine(), pa, pb))
             << "n=" << n;
       }
     }
@@ -238,7 +241,7 @@ TEST(CoreSparseMultiply, MatchesDenseOracleFuzz) {
     const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
                                           CoreSparsePerm::from_dense(b),
                                           oracle_block_solver());
-    ASSERT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b))
+    ASSERT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b))
         << "n=" << a.size();
     ++cases;
   };
@@ -271,7 +274,7 @@ TEST(CoreSparseMultiply, MatchesDenseOracleFuzz) {
         [&](std::span<const std::int32_t> a, std::span<const std::int32_t> b,
             std::span<std::int32_t> out) {
           ++dense_calls;
-          oracle_engine().multiply_into(a, b, out);
+          engine_multiply(oracle_engine(), a, b, out);
         };
     const auto sx = CoreSparsePerm::from_dense(x);
     const auto id = CoreSparsePerm::identity(n);
@@ -296,13 +299,13 @@ TEST(CoreSparseMultiply, DisjointCoresNeverPayADenseSolve) {
       [&](std::span<const std::int32_t> da, std::span<const std::int32_t> db,
           std::span<std::int32_t> out) {
         ++dense_calls;
-        oracle_engine().multiply_into(da, db, out);
+        engine_multiply(oracle_engine(), da, db, out);
       };
   const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
                                         CoreSparsePerm::from_dense(b),
                                         counting);
   EXPECT_EQ(dense_calls, 0);
-  EXPECT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
 }
 
 TEST(CoreSparseMultiply, InteractingClustersPayOneBlockEach) {
@@ -323,14 +326,14 @@ TEST(CoreSparseMultiply, InteractingClustersPayOneBlockEach) {
           std::span<std::int32_t> out) {
         ++dense_calls;
         max_block = std::max(max_block, da.size());
-        oracle_engine().multiply_into(da, db, out);
+        engine_multiply(oracle_engine(), da, db, out);
       };
   const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
                                         CoreSparsePerm::from_dense(b),
                                         counting);
   EXPECT_LE(dense_calls, 2);
   EXPECT_LE(max_block, 8u);
-  EXPECT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
 }
 
 TEST(CoreSparseMultiply, DefaultOverloadUsesTheThreadLocalEngine) {
@@ -339,7 +342,7 @@ TEST(CoreSparseMultiply, DefaultOverloadUsesTheThreadLocalEngine) {
   const auto b = rng.permutation(100);
   const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
                                         CoreSparsePerm::from_dense(b));
-  EXPECT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
 }
 
 TEST(CoreSparseMultiply, SizeMismatchThrows) {
@@ -382,9 +385,9 @@ TEST(CoreSparseEngine, AdaptiveMatchesDenseOracleFuzz) {
   SeaweedEngine shipped{};  // default knobs
   const auto check = [&](const std::vector<std::int32_t>& a,
                          const std::vector<std::int32_t>& b) {
-    const auto want = oracle_engine().multiply_raw(a, b);
-    ASSERT_EQ(aggressive.multiply_raw(a, b), want) << "n=" << a.size();
-    ASSERT_EQ(shipped.multiply_raw(a, b), want) << "n=" << a.size();
+    const auto want = engine_multiply(oracle_engine(), a, b);
+    ASSERT_EQ(engine_multiply(aggressive, a, b), want) << "n=" << a.size();
+    ASSERT_EQ(engine_multiply(shipped, a, b), want) << "n=" << a.size();
     cases += 2;
   };
   for (const std::int64_t n : {2, 3, 8, 31, 64, 65, 128, 200, 256}) {
@@ -427,8 +430,8 @@ TEST(CoreSparseEngine, SubunitPathsMatchOracleAcrossDensities) {
                                 : rng.next_below(std::min(n2, bc) + 1);
     const auto a = Perm::random_sub(ra, n2, ka, rng).row_to_col();
     const auto b = Perm::random_sub(n2, bc, kb, rng).row_to_col();
-    EXPECT_EQ(adaptive.subunit_multiply_raw(a, b, bc),
-              oracle_engine().subunit_multiply_raw(a, b, bc))
+    EXPECT_EQ(engine_subunit_multiply(adaptive, a, b, bc),
+              engine_subunit_multiply(oracle_engine(), a, b, bc))
         << "ra=" << ra << " n2=" << n2 << " bc=" << bc;
     ++cases;
   }
@@ -438,8 +441,8 @@ TEST(CoreSparseEngine, SubunitPathsMatchOracleAcrossDensities) {
     const std::int64_t n = 80 + rng.next_below(80);
     auto a = near_identity_perm(n, 2, 6, rng);
     auto b = near_identity_perm(n, 2, 6, rng);
-    EXPECT_EQ(adaptive.subunit_multiply_raw(a, b, n),
-              oracle_engine().subunit_multiply_raw(a, b, n));
+    EXPECT_EQ(engine_subunit_multiply(adaptive, a, b, n),
+              engine_subunit_multiply(oracle_engine(), a, b, n));
     ++cases;
   }
   EXPECT_GE(cases, 160);
@@ -472,11 +475,11 @@ TEST(CoreSparseEngine, BatchEntryPointsMatchPerPairSolves) {
         pairs.push_back({storage[i], storage[i + 1]});
       }
     }
-    const auto got = adaptive.multiply_raw_batch(pairs);
+    const auto got = engine_multiply_batch(adaptive, pairs);
     ASSERT_EQ(got.size(), pairs.size());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      EXPECT_EQ(got[i],
-                oracle_engine().multiply_raw(pairs[i].first, pairs[i].second))
+      EXPECT_EQ(got[i], engine_multiply(oracle_engine(), pairs[i].first,
+                                        pairs[i].second))
           << "pair " << i << " threads=" << threads;
     }
   }
@@ -491,15 +494,15 @@ TEST(CoreSparseEngine, CountersTrackDispatchDecisions) {
   const auto a = near_identity_perm(n, 3, 8, rng);
   const auto b = near_identity_perm(n, 3, 8, rng);
   const auto before = adaptive.representation_stats();
-  const auto got = adaptive.multiply_raw(a, b);
+  const auto got = engine_multiply(adaptive, a, b);
   const auto delta = adaptive.representation_stats() - before;
-  EXPECT_EQ(got, oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got, engine_multiply(oracle_engine(), a, b));
   EXPECT_GT(delta.core_sparse_nodes, 0);
   EXPECT_GT(delta.blocks_copied + delta.blocks_dense, 0);
 
   // Dense random input: the probe must bail out at every node.
   const auto before_dense = adaptive.representation_stats();
-  adaptive.multiply_raw(rng.permutation(n), rng.permutation(n));
+  engine_multiply(adaptive, rng.permutation(n), rng.permutation(n));
   const auto dense_delta = adaptive.representation_stats() - before_dense;
   EXPECT_GT(dense_delta.dense_nodes, 0);
   EXPECT_EQ(dense_delta.core_sparse_nodes, 0);
@@ -508,7 +511,7 @@ TEST(CoreSparseEngine, CountersTrackDispatchDecisions) {
 
   // cutoff 0 never probes, so it never counts.
   const auto oracle_before = oracle_engine().representation_stats();
-  oracle_engine().multiply_raw(a, b);
+  engine_multiply(oracle_engine(), a, b);
   EXPECT_EQ(oracle_engine().representation_stats() - oracle_before,
             RepresentationStats{});
 }
@@ -518,7 +521,7 @@ TEST(CoreSparseEngine, ResultsAndCountersDeterministicUnderThreadCounts) {
   const std::int64_t n = 2048;
   const auto a = near_identity_perm(n, 4, 16, rng);
   const auto b = near_identity_perm(n, 4, 16, rng);
-  const auto want = oracle_engine().multiply_raw(a, b);
+  const auto want = engine_multiply(oracle_engine(), a, b);
 
   RepresentationStats first{};
   bool have_first = false;
@@ -529,7 +532,7 @@ TEST(CoreSparseEngine, ResultsAndCountersDeterministicUnderThreadCounts) {
                           .core_density_cutoff = 0.25,
                           .core_probe_min_n = 64});
     const auto before = engine.representation_stats();
-    EXPECT_EQ(engine.multiply_raw(a, b), want) << "threads=" << threads;
+    EXPECT_EQ(engine_multiply(engine, a, b), want) << "threads=" << threads;
     const auto delta = engine.representation_stats() - before;
     if (!have_first) {
       first = delta;
@@ -549,9 +552,9 @@ TEST(CoreSparseEngine, SubunitNearIdentityTakesTheBlockPath) {
   const auto a = near_identity_perm(n, 2, 6, rng);
   const auto b = near_identity_perm(n, 2, 6, rng);
   const auto before = adaptive.representation_stats();
-  const auto got = adaptive.subunit_multiply_raw(a, b, n);
+  const auto got = engine_subunit_multiply(adaptive, a, b, n);
   const auto delta = adaptive.representation_stats() - before;
-  EXPECT_EQ(got, oracle_engine().subunit_multiply_raw(a, b, n));
+  EXPECT_EQ(got, engine_subunit_multiply(oracle_engine(), a, b, n));
   EXPECT_GT(delta.core_sparse_nodes, 0)
       << "the padded subunit core solve should probe sparse";
 }

@@ -16,6 +16,10 @@ namespace monge {
 namespace {
 
 using testing::all_permutations;
+using testing::engine_multiply;
+using testing::engine_multiply_batch;
+using testing::engine_subunit_multiply;
+using testing::engine_subunit_multiply_batch;
 using testing::nearly_sorted_perm;
 
 std::vector<std::int32_t> random_raw_perm(std::int64_t n, Rng& rng) {
@@ -55,7 +59,7 @@ TEST(SeaweedEngine, EquivalenceFuzzAcrossCutoffs) {
       for (int rep = 0; rep < 3; ++rep) {
         const auto a = random_raw_perm(n, rng);
         const auto b = random_raw_perm(n, rng);
-        const auto got = engine.multiply_raw(a, b);
+        const auto got = engine_multiply(engine, a, b);
         const auto ref = seaweed_multiply_reference_raw(a, b);
         ASSERT_EQ(got, ref) << "n=" << n << " cutoff=" << cutoff;
         const Perm pa = Perm::from_rows(a, n);
@@ -73,17 +77,23 @@ TEST(SeaweedEngine, BitIdenticalToReferenceLargerSizes) {
   for (const std::int64_t n : {255, 256, 257, 777, 1024, 2048}) {
     const auto a = random_raw_perm(n, rng);
     const auto b = random_raw_perm(n, rng);
-    ASSERT_EQ(engine.multiply_raw(a, b), seaweed_multiply_reference_raw(a, b))
+    ASSERT_EQ(engine_multiply(engine, a, b),
+              seaweed_multiply_reference_raw(a, b))
         << "n=" << n;
   }
 }
 
 TEST(SeaweedEngine, EmptyAndTiny) {
   SeaweedEngine engine;
-  EXPECT_TRUE(engine.multiply_raw({}, {}).empty());
-  EXPECT_EQ(engine.multiply_raw(std::vector<std::int32_t>{0},
-                                std::vector<std::int32_t>{0}),
+  EXPECT_TRUE(engine_multiply(engine, {}, {}).empty());
+  EXPECT_EQ(engine_multiply(engine, std::vector<std::int32_t>{0},
+                            std::vector<std::int32_t>{0}),
             (std::vector<std::int32_t>{0}));
+  // The Perm entry runs the same sizes as a batch of one, which sizes the
+  // arena even for n <= 1.
+  EXPECT_EQ(engine.multiply(Perm(0, 0), Perm(0, 0)), Perm(0, 0));
+  EXPECT_EQ(engine.multiply(Perm::identity(1), Perm::identity(1)),
+            Perm::identity(1));
 }
 
 // Knobs are validated at construction — out-of-range values throw instead
@@ -121,7 +131,7 @@ TEST(SeaweedEngine, RejectsOversizeInputs) {
   std::int32_t dummy = 0;
   const std::span<const std::int32_t> big(&dummy, huge);
   std::span<std::int32_t> big_out(&dummy, huge);
-  EXPECT_THROW(engine.multiply_into(big, big, big_out), std::logic_error);
+  EXPECT_THROW(engine_multiply(engine, big, big, big_out), std::logic_error);
   const std::vector<PermPairView> pairs{{big, big}};
   const std::vector<std::span<std::int32_t>> outs{big_out};
   EXPECT_THROW(engine.multiply_batch_into(pairs, outs), std::logic_error);
@@ -130,16 +140,16 @@ TEST(SeaweedEngine, RejectsOversizeInputs) {
   const std::vector<std::int32_t> b{0, 1};
   std::vector<std::int32_t> out(2);
   EXPECT_THROW(
-      engine.subunit_multiply_into(a, b, kSeaweedEngineMaxN + 1, out),
+      engine_subunit_multiply(engine, a, b, kSeaweedEngineMaxN + 1, out),
       std::logic_error);
-  EXPECT_THROW(engine.subunit_multiply_into(big, b, 2, big_out),
+  EXPECT_THROW(engine_subunit_multiply(engine, big, b, 2, big_out),
                std::logic_error);
   const std::vector<SubunitPairView> spairs{{a, big, 2}};
   const std::vector<std::span<std::int32_t>> souts{out};
   EXPECT_THROW(engine.subunit_multiply_batch_into(spairs, souts),
                std::logic_error);
   // The engine stays usable after a rejected call.
-  EXPECT_EQ(engine.subunit_multiply_raw(a, b, 2), a);
+  EXPECT_EQ(engine_subunit_multiply(engine, a, b, 2), a);
 }
 
 // The arena is sized once: repeating a multiply of the same (or smaller)
@@ -149,17 +159,17 @@ TEST(SeaweedEngine, ArenaIsReusedAcrossCalls) {
   SeaweedEngine engine;
   const auto a = random_raw_perm(1024, rng);
   const auto b = random_raw_perm(1024, rng);
-  const auto first = engine.multiply_raw(a, b);
+  const auto first = engine_multiply(engine, a, b);
   const std::size_t cap = engine.arena_capacity();
   EXPECT_GE(cap, engine.arena_bytes_for(1024));
   for (const std::int64_t n : {1024, 512, 100}) {
     const auto pa = random_raw_perm(n, rng);
     const auto pb = random_raw_perm(n, rng);
-    ASSERT_EQ(engine.multiply_raw(pa, pb),
+    ASSERT_EQ(engine_multiply(engine, pa, pb),
               seaweed_multiply_reference_raw(pa, pb));
   }
   EXPECT_EQ(engine.arena_capacity(), cap);
-  EXPECT_EQ(engine.multiply_raw(a, b), first);
+  EXPECT_EQ(engine_multiply(engine, a, b), first);
 }
 
 TEST(SeaweedEngine, MultiplyIntoWritesCallerBuffer) {
@@ -168,7 +178,7 @@ TEST(SeaweedEngine, MultiplyIntoWritesCallerBuffer) {
   const auto a = random_raw_perm(300, rng);
   const auto b = random_raw_perm(300, rng);
   std::vector<std::int32_t> out(300, kNone);
-  engine.multiply_into(a, b, out);
+  engine_multiply(engine, a, b, out);
   EXPECT_EQ(out, seaweed_multiply_reference_raw(a, b));
 }
 
@@ -186,10 +196,10 @@ TEST(SeaweedEngine, DeterministicUnderThreadCounts) {
     for (const std::int64_t grain : {64, 256, 1024}) {
       SeaweedEngine engine(
           {.parallel_grain = grain, .pool = &pool});
-      ASSERT_EQ(engine.multiply_raw(a, b), ref)
+      ASSERT_EQ(engine_multiply(engine, a, b), ref)
           << "threads=" << threads << " grain=" << grain;
       // Repeat on the warm arena: still identical.
-      ASSERT_EQ(engine.multiply_raw(a, b), ref)
+      ASSERT_EQ(engine_multiply(engine, a, b), ref)
           << "threads=" << threads << " grain=" << grain;
     }
   }
@@ -215,7 +225,7 @@ TEST(SeaweedEngine, PooledDenseBlockAboveGrainMatchesSequential) {
   SeaweedEngine pooled({.parallel_grain = 64, .pool = &pool});
   SeaweedEngine sequential;
   const auto before = pooled.representation_stats();
-  EXPECT_EQ(pooled.multiply_raw(a, b), sequential.multiply_raw(a, b));
+  EXPECT_EQ(engine_multiply(pooled, a, b), engine_multiply(sequential, a, b));
   const auto delta = pooled.representation_stats() - before;
   EXPECT_EQ(delta, sequential.representation_stats());
   EXPECT_GT(delta.blocks_dense, 0);
@@ -248,7 +258,7 @@ TEST(ThreadPool, InvokeTwoPropagatesExceptions) {
 }
 
 // ---------------------------------------------------------------------------
-// multiply_raw_batch: differential fuzz against per-pair multiply_raw.
+// multiply_batch_into: differential fuzz against batches of one.
 // ---------------------------------------------------------------------------
 
 // Random batches (including the empty batch) of random mixed sizes
@@ -277,10 +287,10 @@ TEST(SeaweedEngineBatch, MatchesPerPairMultiplyFuzz) {
     for (std::size_t t = 0; t < as.size(); ++t) {
       views.push_back({as[t], bs[t]});
     }
-    const auto got = batch_engine.multiply_raw_batch(views);
+    const auto got = engine_multiply_batch(batch_engine, views);
     ASSERT_EQ(got.size(), as.size());
     for (std::size_t t = 0; t < as.size(); ++t) {
-      ASSERT_EQ(got[t], single_engine.multiply_raw(as[t], bs[t]))
+      ASSERT_EQ(got[t], engine_multiply(single_engine, as[t], bs[t]))
           << "round=" << round << " pair=" << t << " n=" << as[t].size();
       ++cases;
     }
@@ -318,7 +328,7 @@ TEST(SeaweedEngineBatch, StripedAcrossPoolMatchesSequential) {
       views.push_back({as[k][t], bs[k][t]});
     }
     SeaweedEngine sequential;
-    const auto expect = sequential.multiply_raw_batch(views);
+    const auto expect = engine_multiply_batch(sequential, views);
     const RepresentationStats expect_rep = sequential.representation_stats();
     for (const unsigned threads : {1u, 2u, 3u, 4u}) {
       ThreadPool pool(threads);
@@ -328,7 +338,7 @@ TEST(SeaweedEngineBatch, StripedAcrossPoolMatchesSequential) {
         SeaweedEngine striped({.parallel_grain = grain, .pool = &pool});
         for (const char* arena : {"cold", "warm"}) {
           const auto before = striped.representation_stats();
-          ASSERT_EQ(striped.multiply_raw_batch(views), expect)
+          ASSERT_EQ(engine_multiply_batch(striped, views), expect)
               << "batch=" << k << " threads=" << threads
               << " grain=" << grain << " arena=" << arena;
           ASSERT_EQ(striped.representation_stats() - before, expect_rep)
@@ -342,11 +352,11 @@ TEST(SeaweedEngineBatch, StripedAcrossPoolMatchesSequential) {
 
 TEST(SeaweedEngineBatch, EmptyBatchAndDegeneratePairs) {
   SeaweedEngine engine;
-  EXPECT_TRUE(engine.multiply_raw_batch({}).empty());
+  EXPECT_TRUE(engine_multiply_batch(engine, {}).empty());
   const std::vector<std::int32_t> empty;
   const std::vector<std::int32_t> one{0};
   std::vector<PermPairView> views{{empty, empty}, {one, one}, {empty, empty}};
-  const auto got = engine.multiply_raw_batch(views);
+  const auto got = engine_multiply_batch(engine, views);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_TRUE(got[0].empty());
   EXPECT_EQ(got[1], (std::vector<std::int32_t>{0}));
@@ -366,17 +376,16 @@ TEST(SeaweedEngineBatch, ArenaSizedOnceForWholeBatch) {
     bs.push_back(rng.permutation(n));
   }
   for (std::size_t t = 0; t < as.size(); ++t) views.push_back({as[t], bs[t]});
-  const auto first = engine.multiply_raw_batch(views);
+  const auto first = engine_multiply_batch(engine, views);
   const std::size_t cap = engine.arena_capacity();
   EXPECT_GE(cap, engine.arena_bytes_for(700));
-  EXPECT_EQ(engine.multiply_raw_batch(views), first);
+  EXPECT_EQ(engine_multiply_batch(engine, views), first);
   EXPECT_EQ(engine.arena_capacity(), cap);
 }
 
 // ---------------------------------------------------------------------------
-// subunit_multiply_batch_into: differential fuzz against per-call
-// subunit_multiply_into over randomized shapes, including empty, size-1 and
-// heavily skewed ones.
+// subunit_multiply_batch_into: differential fuzz against batches of one
+// over randomized shapes, including empty, size-1 and heavily skewed ones.
 // ---------------------------------------------------------------------------
 
 struct SubunitBatchInputs {
@@ -447,11 +456,11 @@ TEST(SeaweedEngineSubunitBatch, MatchesPerCallFuzz) {
       push_random_subunit_pair(in, rng);
     }
     finalize_views(in);
-    const auto got = batch_engine.subunit_multiply_raw_batch(in.views);
+    const auto got = engine_subunit_multiply_batch(batch_engine, in.views);
     ASSERT_EQ(got.size(), in.as.size());
     for (std::size_t t = 0; t < in.as.size(); ++t) {
-      ASSERT_EQ(got[t], single_engine.subunit_multiply_raw(in.as[t], in.bs[t],
-                                                           in.b_cols[t]))
+      ASSERT_EQ(got[t], engine_subunit_multiply(single_engine, in.as[t],
+                                                in.bs[t], in.b_cols[t]))
           << "round=" << round << " pair=" << t << " ra=" << in.as[t].size()
           << " n2=" << in.bs[t].size() << " cb=" << in.b_cols[t];
       ++cases;
@@ -491,7 +500,7 @@ TEST(SeaweedEngineSubunitBatch, StripedAcrossPoolMatchesSequential) {
     SubunitBatchInputs& in = batches[k];
     finalize_views(in);
     SeaweedEngine sequential;
-    const auto expect = sequential.subunit_multiply_raw_batch(in.views);
+    const auto expect = engine_subunit_multiply_batch(sequential, in.views);
     const RepresentationStats expect_rep = sequential.representation_stats();
     for (const unsigned threads : {1u, 2u, 3u, 4u}) {
       ThreadPool pool(threads);
@@ -501,7 +510,7 @@ TEST(SeaweedEngineSubunitBatch, StripedAcrossPoolMatchesSequential) {
         SeaweedEngine striped({.parallel_grain = grain, .pool = &pool});
         for (const char* arena : {"cold", "warm"}) {
           const auto before = striped.representation_stats();
-          ASSERT_EQ(striped.subunit_multiply_raw_batch(in.views), expect)
+          ASSERT_EQ(engine_subunit_multiply_batch(striped, in.views), expect)
               << "batch=" << k << " threads=" << threads
               << " grain=" << grain << " arena=" << arena;
           ASSERT_EQ(striped.representation_stats() - before, expect_rep)
@@ -528,14 +537,14 @@ TEST(SeaweedEngineSubunitBatch, BatchUnderGrainNeedsNoMoreArenaThanSequential) {
   ThreadPool pool(3);
   SeaweedEngine pooled({.pool = &pool});
   SeaweedEngine sequential;
-  EXPECT_EQ(pooled.subunit_multiply_raw_batch(in.views),
-            sequential.subunit_multiply_raw_batch(in.views));
+  EXPECT_EQ(engine_subunit_multiply_batch(pooled, in.views),
+            engine_subunit_multiply_batch(sequential, in.views));
   EXPECT_EQ(pooled.arena_capacity(), sequential.arena_capacity());
 }
 
 TEST(SeaweedEngineSubunitBatch, EmptyBatchAndDegeneratePairs) {
   SeaweedEngine engine;
-  EXPECT_TRUE(engine.subunit_multiply_raw_batch({}).empty());
+  EXPECT_TRUE(engine_subunit_multiply_batch(engine, {}).empty());
   const std::vector<std::int32_t> empty;
   const std::vector<std::int32_t> none_row{kNone, kNone};
   const std::vector<std::int32_t> ident{0, 1};
@@ -545,7 +554,7 @@ TEST(SeaweedEngineSubunitBatch, EmptyBatchAndDegeneratePairs) {
       {ident, none_row, 2},   // all rows of B empty
       {ident, ident, 2},      // tiny identity product
   };
-  const auto got = engine.subunit_multiply_raw_batch(views);
+  const auto got = engine_subunit_multiply_batch(engine, views);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_TRUE(got[0].empty());
   EXPECT_EQ(got[1], none_row);
@@ -561,9 +570,9 @@ TEST(SeaweedEngineSubunitBatch, ArenaSizedOnceForWholeBatch) {
   SubunitBatchInputs in;
   for (int t = 0; t < 12; ++t) push_random_subunit_pair(in, rng);
   finalize_views(in);
-  const auto first = engine.subunit_multiply_raw_batch(in.views);
+  const auto first = engine_subunit_multiply_batch(engine, in.views);
   const std::size_t cap = engine.arena_capacity();
-  EXPECT_EQ(engine.subunit_multiply_raw_batch(in.views), first);
+  EXPECT_EQ(engine_subunit_multiply_batch(engine, in.views), first);
   EXPECT_EQ(engine.arena_capacity(), cap);
 }
 

@@ -10,6 +10,7 @@ namespace monge {
 namespace {
 
 using testing::all_permutations;
+using testing::engine_multiply;
 
 TEST(Seaweed, ExhaustiveSmallPermutations) {
   for (int n = 1; n <= 5; ++n) {
@@ -127,7 +128,7 @@ TEST(Seaweed, RejectsSubPermutations) {
 }
 
 TEST(Seaweed, EmptyInput) {
-  EXPECT_EQ(seaweed_multiply_raw({}, {}).size(), 0u);
+  EXPECT_EQ(engine_multiply(default_seaweed_engine(), {}, {}).size(), 0u);
 }
 
 }  // namespace

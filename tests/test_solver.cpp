@@ -135,6 +135,26 @@ TEST(SolverMultiply, SequentialBitIdenticalToDirectCalls) {
   }
 }
 
+// A single subunit product is one batched engine call, on the engine and
+// through the facade: both advance subunit_batch_calls() by exactly 1.
+TEST(SolverMultiply, SingleSubunitProductIsOneBatchedEngineCall) {
+  Rng rng(14);
+  const Perm a = Perm::random_sub(40, 30, 18, rng);
+  const Perm b = Perm::random_sub(30, 50, 21, rng);
+  SeaweedEngine engine;
+  const std::int64_t engine_before = engine.subunit_batch_calls();
+  const Perm direct = subunit_multiply(a, b, engine);
+  EXPECT_EQ(engine.subunit_batch_calls(), engine_before + 1);
+
+  Solver solver;
+  const std::int64_t solver_before = solver.engine().subunit_batch_calls();
+  const MultiplyResult result =
+      solver.solve(MultiplyRequest{a, b, MultiplyRequest::Kind::kSubunit});
+  EXPECT_EQ(solver.engine().subunit_batch_calls(), solver_before + 1);
+  EXPECT_EQ(result.c, direct);
+  EXPECT_EQ(direct, subunit_multiply_padded(a, b));
+}
+
 TEST(SolverMultiply, SequentialBatchBitIdenticalAndOneEngineCallPerKind) {
   Rng rng(13);
   Solver solver;

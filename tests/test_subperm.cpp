@@ -7,10 +7,13 @@
 #include "monge/distribution.h"
 #include "monge/engine.h"
 #include "monge/seaweed.h"
+#include "testing.h"
 #include "util/rng.h"
 
 namespace monge {
 namespace {
+
+using testing::engine_subunit_multiply;
 
 struct SubCase {
   std::int64_t ra, n2, cb;  // a: ra×n2, b: n2×cb
@@ -87,8 +90,8 @@ TEST(SubPermFuzz, RawEntryPointMatchesPermWrapper) {
         rng.next_below(static_cast<std::uint64_t>(std::min(n2, cb)) + 1));
     const Perm a = Perm::random_sub(ra, n2, ka, rng);
     const Perm b = Perm::random_sub(n2, cb, kb, rng);
-    const auto raw =
-        engine.subunit_multiply_raw(a.row_to_col(), b.row_to_col(), b.cols());
+    const auto raw = engine_subunit_multiply(engine, a.row_to_col(),
+                                             b.row_to_col(), b.cols());
     ASSERT_EQ(Perm::from_rows(raw, b.cols()), subunit_multiply(a, b, engine));
   }
 }
@@ -101,10 +104,14 @@ TEST(SubPermFuzz, DirectPathRejectsMalformedInputs) {
   std::vector<std::int32_t> oob{0, 5, kNone};   // column 5 out of [0, 3)
   std::vector<std::int32_t> b{0, 1, 2};
   std::vector<std::int32_t> out(3, kNone);
-  EXPECT_THROW(engine.subunit_multiply_into(dup, b, 3, out), std::logic_error);
-  EXPECT_THROW(engine.subunit_multiply_into(oob, b, 3, out), std::logic_error);
-  EXPECT_THROW(engine.subunit_multiply_into(b, dup, 3, out), std::logic_error);
-  EXPECT_THROW(engine.subunit_multiply_into(b, oob, 3, out), std::logic_error);
+  EXPECT_THROW(engine_subunit_multiply(engine, dup, b, 3, out),
+               std::logic_error);
+  EXPECT_THROW(engine_subunit_multiply(engine, oob, b, 3, out),
+               std::logic_error);
+  EXPECT_THROW(engine_subunit_multiply(engine, b, dup, 3, out),
+               std::logic_error);
+  EXPECT_THROW(engine_subunit_multiply(engine, b, oob, 3, out),
+               std::logic_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(

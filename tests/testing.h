@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "monge/delta.h"
 #include "monge/distribution.h"
+#include "monge/engine.h"
 #include "monge/permutation.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -86,6 +88,70 @@ inline std::vector<std::int32_t> nearly_sorted_perm(std::int64_t n, int swaps,
     std::swap(p[i], p[i + 1]);
   }
   return p;
+}
+
+// ---------------------------------------------------------------------------
+// Engine products through the two batch entries. A single product is a
+// batch of one; the allocating forms size one output vector per entry.
+// ---------------------------------------------------------------------------
+
+/// PA ⊡ PB of full permutations into `out`, one multiply_batch_into call.
+inline void engine_multiply(SeaweedEngine& engine, PermView a, PermView b,
+                            std::span<std::int32_t> out) {
+  const PermPairView pair{a, b};
+  engine.multiply_batch_into({&pair, 1}, {&out, 1});
+}
+
+/// PA ⊡ PB of full permutations, as a batch of one.
+inline std::vector<std::int32_t> engine_multiply(SeaweedEngine& engine,
+                                                 PermView a, PermView b) {
+  std::vector<std::int32_t> out(a.size());
+  engine_multiply(engine, a, b, out);
+  return out;
+}
+
+/// One product per pair, from one multiply_batch_into call.
+inline std::vector<std::vector<std::int32_t>> engine_multiply_batch(
+    SeaweedEngine& engine, std::span<const PermPairView> pairs) {
+  std::vector<std::vector<std::int32_t>> out(pairs.size());
+  std::vector<std::span<std::int32_t>> outs;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    out[i].resize(pairs[i].first.size());
+    outs.push_back(out[i]);
+  }
+  engine.multiply_batch_into(pairs, outs);
+  return out;
+}
+
+/// Subunit PA ⊡ PB (b has b_cols columns) into `out`, one
+/// subunit_multiply_batch_into call.
+inline void engine_subunit_multiply(SeaweedEngine& engine, PermView a,
+                                    PermView b, std::int64_t b_cols,
+                                    std::span<std::int32_t> out) {
+  const SubunitPairView pair{a, b, b_cols};
+  engine.subunit_multiply_batch_into({&pair, 1}, {&out, 1});
+}
+
+/// Subunit PA ⊡ PB (b has b_cols columns), as a batch of one.
+inline std::vector<std::int32_t> engine_subunit_multiply(SeaweedEngine& engine,
+                                                         PermView a, PermView b,
+                                                         std::int64_t b_cols) {
+  std::vector<std::int32_t> out(a.size());
+  engine_subunit_multiply(engine, a, b, b_cols, out);
+  return out;
+}
+
+/// One subunit product per pair, from one subunit_multiply_batch_into call.
+inline std::vector<std::vector<std::int32_t>> engine_subunit_multiply_batch(
+    SeaweedEngine& engine, std::span<const SubunitPairView> pairs) {
+  std::vector<std::vector<std::int32_t>> out(pairs.size());
+  std::vector<std::span<std::int32_t>> outs;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    out[i].resize(pairs[i].a.size());
+    outs.push_back(out[i]);
+  }
+  engine.subunit_multiply_batch_into(pairs, outs);
+  return out;
 }
 
 }  // namespace monge::testing

@@ -1,8 +1,8 @@
-// monge-lint-expect: L4  (configured entry point `gone` has no definition)
-// L4 negative fixture: an unchecked entry point fires, a wrapper delegating
-// to an UNchecked entry point fires too, and a configured name with no
-// definition anchors a finding at line 1. Self-test config:
-// monge-lint-l4: class=Engine entries=mul,mul_into,gone checkers=check_limit
+// L4 negative fixture: an unchecked member fires, a wrapper delegating to
+// an UNchecked member fires too, and so does a member named nowhere in the
+// config — the entry list is every member defined here minus the exempt
+// list, so nothing has to be listed to be checked. Self-test config:
+// monge-lint-l4: class=Engine exempt=Engine checkers=check_limit
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -12,6 +12,7 @@ namespace monge {
 struct Engine {
   void mul_into(std::span<const std::int32_t> a, std::span<std::int32_t> out);
   std::vector<std::int32_t> mul(std::span<const std::int32_t> a);
+  std::vector<std::int32_t> mul_raw(std::span<const std::int32_t> a);
 };
 
 // No size validation anywhere on this path.
@@ -26,6 +27,11 @@ std::vector<std::int32_t> Engine::mul(std::span<const std::int32_t> a) {  // mon
   std::vector<std::int32_t> out(a.size());
   mul_into(a, out);
   return out;
+}
+
+// Added without touching the config and never checked: still found.
+std::vector<std::int32_t> Engine::mul_raw(std::span<const std::int32_t> a) {  // monge-lint-expect: L4
+  return std::vector<std::int32_t>(a.begin(), a.end());
 }
 
 }  // namespace monge

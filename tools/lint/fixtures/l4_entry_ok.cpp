@@ -1,7 +1,8 @@
-// L4 positive fixture: every configured entry point validates the size
-// limit, either directly through a checker or by delegating to a checked
-// entry point. Self-test config:
-// monge-lint-l4: class=Engine entries=mul,mul_into,mul_raw checkers=check_limit,kEngineMaxN
+// L4 positive fixture: every member outside the exempt list validates the
+// size limit, either directly through a checker or by delegating to a
+// checked member; the exempt constructor and accessor need no check.
+// Self-test config:
+// monge-lint-l4: class=Engine exempt=Engine,calls checkers=check_limit,kEngineMaxN
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -11,12 +12,18 @@ namespace monge {
 inline constexpr std::int64_t kEngineMaxN = 1 << 30;
 
 struct Engine {
+  Engine();
   void mul_into(std::span<const std::int32_t> a, std::span<std::int32_t> out);
   std::vector<std::int32_t> mul_raw(std::span<const std::int32_t> a);
   std::vector<std::int32_t> mul(std::span<const std::int32_t> a);
+  std::int64_t calls() const;
+  std::int64_t calls_ = 0;
 };
 
 void check_limit(std::size_t size);
+
+// Exempt: takes no product input.
+Engine::Engine() : calls_(0) {}
 
 // Direct check through the named helper.
 void Engine::mul_into(std::span<const std::int32_t> a,
@@ -39,5 +46,8 @@ std::vector<std::int32_t> Engine::mul(std::span<const std::int32_t> a) {
   mul_into(a, out);
   return out;
 }
+
+// Exempt: a counter read.
+std::int64_t Engine::calls() const { return calls_; }
 
 }  // namespace monge

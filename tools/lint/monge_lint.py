@@ -20,12 +20,14 @@ Four rules, each enforcing a convention the codebase's correctness leans on:
                           stringstreams). This is the static half of the
                           engine's zero-steady-state-allocation claim: hot
                           paths carve from the arena instead.
-  L4  engine-entry-maxn   Every public SeaweedEngine entry point validates
-                          kSeaweedEngineMaxN — directly via the named checker
-                          helpers or by delegating to another checked entry
-                          point. The rule also fails if a configured entry
-                          point disappears, so renames cannot silently drop
-                          the guard.
+  L4  engine-entry-maxn   Every SeaweedEngine member defined in engine.cpp
+                          validates kSeaweedEngineMaxN — directly via the
+                          named checker helpers or by delegating to another
+                          checked member — unless it is on a short exempt
+                          list of members that take no product input. The
+                          entry list is worked out from the definitions, so
+                          a new or renamed member is checked without a
+                          config change.
 
 Suppression: append `// monge-lint: ignore(LN)` to the offending line. Each
 suppression should carry a rationale comment, mirroring the .clang-tidy
@@ -105,22 +107,15 @@ HOT_BANNED_PATTERNS = [
     (re.compile(r"\bcalloc\s*\("), "calloc"),
 ]
 
-# L4 defaults: the SeaweedEngine public surface (src/monge/engine.cpp). A
-# function passes if its body references a checker, or calls another entry
-# point (delegation closure computed transitively).
+# L4 defaults: every SeaweedEngine member defined in src/monge/engine.cpp is
+# an entry point, except the exempt ones, which take no product input: the
+# constructor (named like the class), the counter snapshot, the budget
+# query and the private buffer accessor. A member passes if its body
+# references a checker, or calls another checked member (delegation closure
+# computed transitively).
 L4_FILE_SUFFIX = "monge/engine.cpp"
 L4_CLASS = "SeaweedEngine"
-L4_ENTRY_POINTS = [
-    "multiply",
-    "multiply_raw",
-    "multiply_into",
-    "multiply_raw_batch",
-    "multiply_batch_into",
-    "subunit_multiply_raw",
-    "subunit_multiply_into",
-    "subunit_multiply_raw_batch",
-    "subunit_multiply_batch_into",
-]
+L4_EXEMPT = [L4_CLASS, "representation_stats", "arena_bytes_for", "arena_span"]
 L4_CHECKERS = ["check_size_limit", "check_subunit_shapes", "kSeaweedEngineMaxN"]
 
 HOT_ANNOTATION = "// monge-lint: hot"
@@ -436,25 +431,21 @@ def function_bodies(sf: SourceFile, cls: str) -> dict[str, str]:
 def check_l4(
     sf: SourceFile,
     cls: str,
-    entries: list[str],
+    exempt: list[str],
     checkers: list[str],
 ) -> list[Finding]:
-    if not str(sf.path).replace("\\", "/").endswith(L4_FILE_SUFFIX) and not entries:
-        return []
     bodies = function_bodies(sf, cls)
+    entries = [name for name in bodies if name not in exempt]
     checker_re = re.compile("|".join(r"\b" + re.escape(c) + r"\b" for c in checkers))
 
     # Pass 1: direct checks. Pass 2 (to fixpoint): delegation to a checked
-    # entry point (wrappers like multiply_raw -> multiply_into).
-    checked: set[str] = set()
-    for name in entries:
-        if name in bodies and checker_re.search(bodies[name]):
-            checked.add(name)
+    # member (e.g. multiply -> multiply_batch_into).
+    checked = {name for name in entries if checker_re.search(bodies[name])}
     changed = True
     while changed:
         changed = False
         for name in entries:
-            if name in checked or name not in bodies:
+            if name in checked:
                 continue
             for other in checked:
                 if re.search(r"\b" + re.escape(other) + r"\s*\(", bodies[name]):
@@ -464,36 +455,24 @@ def check_l4(
 
     findings = []
     for name in entries:
-        if name not in bodies:
-            findings.append(
-                Finding(
-                    sf.path,
-                    1,
-                    "L4",
-                    f"configured entry point `{cls}::{name}` not found — "
-                    "update tools/lint/monge_lint.py if the public surface "
-                    "changed, so the MaxN guard list cannot rot",
-                )
+        if name in checked:
+            continue
+        # Anchor the finding at the definition.
+        dm = re.search(re.escape(cls) + r"::" + re.escape(name) + r"\s*\(", sf.stripped)
+        ln = line_of(sf.stripped, dm.start()) if dm else 1
+        if sf.is_suppressed(ln, "L4"):
+            continue
+        findings.append(
+            Finding(
+                sf.path,
+                ln,
+                "L4",
+                f"`{cls}::{name}` neither validates kSeaweedEngineMaxN (via "
+                + "/".join(checkers)
+                + ") nor delegates to a checked member, and is not on the "
+                "L4 exempt list",
             )
-        elif name not in checked:
-            # Anchor the finding at the definition.
-            dm = re.search(
-                re.escape(cls) + r"::" + re.escape(name) + r"\s*\(", sf.stripped
-            )
-            ln = line_of(sf.stripped, dm.start()) if dm else 1
-            if sf.is_suppressed(ln, "L4"):
-                continue
-            findings.append(
-                Finding(
-                    sf.path,
-                    ln,
-                    "L4",
-                    f"public entry point `{cls}::{name}` neither validates "
-                    "kSeaweedEngineMaxN (via "
-                    + "/".join(checkers)
-                    + ") nor delegates to a checked entry point",
-                )
-            )
+        )
     return findings
 
 
@@ -531,7 +510,7 @@ def lint_file(path: Path, args: argparse.Namespace) -> list[Finding]:
     findings += check_l2(sf)
     findings += check_l3(sf)
     if str(path).replace("\\", "/").endswith(L4_FILE_SUFFIX):
-        findings += check_l4(sf, L4_CLASS, L4_ENTRY_POINTS, L4_CHECKERS)
+        findings += check_l4(sf, L4_CLASS, L4_EXEMPT, L4_CHECKERS)
     return findings
 
 
@@ -561,10 +540,10 @@ def self_test(fixture_dir: Path) -> int:
         findings += check_l1(sf)
         findings += check_l2(sf)
         findings += check_l3(sf)
-        # Fixture L4 config: a fake `Engine` class with a fake entry list,
+        # Fixture L4 config: a fake `Engine` class with its own exempt list,
         # declared in the fixture itself via a config comment.
         cfg = re.search(
-            r"monge-lint-l4:\s*class=(\w+)\s+entries=([\w,]+)\s+checkers=([\w,]+)",
+            r"monge-lint-l4:\s*class=(\w+)\s+exempt=([\w,]+)\s+checkers=([\w,]+)",
             sf.raw,
         )
         if cfg:
