@@ -107,9 +107,7 @@ Solver::Solver(SolverOptions options)
   require(options_.mpc_slack > 0.0,
           "SolverOptions.mpc_slack must be > 0, got " +
               std::to_string(options_.mpc_slack));
-  require(options_.multiply.split_h >= 0 && options_.multiply.tree_fanout >= 0 &&
-              options_.multiply.box_g >= 0,
-          "SolverOptions.multiply knobs must be >= 0 (0 = paper schedule)");
+  core::validate_options(options_.multiply);
   require(options_.lis_leaf_classes >= 0,
           "SolverOptions.lis_leaf_classes must be >= 0 (0 = number of "
           "machines)");

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "monge/engine.h"
 #include "monge/multiway.h"
 #include "mpc/collectives.h"
 #include "mpc/dist_vector.h"
 #include "util/check.h"
+#include "util/error.h"
 #include "util/math.h"
 #include "util/overflow.h"
 
@@ -52,7 +54,8 @@ struct LevelMeta {
 };
 
 // ---------------------------------------------------------------------------
-// Distributed merge-tree index (§3.2's tree T, one sorted array per level).
+// Distributed merge-tree index (§3.2's tree T, one key array per level, in
+// point order: mpc::rank_search sorts the keys with each query batch).
 // ---------------------------------------------------------------------------
 
 struct RankQuery {
@@ -101,7 +104,6 @@ class TreeIndex {
           out[k] = pack(level, loc[k].sub, node, loc[k].color, free_coord);
         }
       });
-      mpc::sample_sort(c, keys, [](std::int64_t x) { return x; });
       levels_.push_back(std::move(keys));
     }
   }
@@ -342,9 +344,26 @@ std::vector<std::pair<std::int32_t, std::int64_t>> node_decomposition(
 
 }  // namespace
 
+void validate_options(const MpcMultiplyOptions& options) {
+  const auto arity = [](std::int64_t v, const char* name) {
+    if (v == 0 || v >= 2) return;
+    throw InvalidRequestError(std::string("MpcMultiplyOptions.") + name +
+                              " must be 0 (paper schedule) or >= 2, got " +
+                              std::to_string(v));
+  };
+  arity(options.split_h, "split_h");
+  arity(options.tree_fanout, "tree_fanout");
+  if (options.box_g < 0) {
+    throw InvalidRequestError(
+        "MpcMultiplyOptions.box_g must be >= 0 (0 = ceil(n / m)), got " +
+        std::to_string(options.box_g));
+  }
+}
+
 std::vector<Perm> mpc_unit_monge_multiply_batch(
     Cluster& cluster, const std::vector<std::pair<Perm, Perm>>& pairs,
     const MpcMultiplyOptions& options, MpcMultiplyReport* report) {
+  validate_options(options);
   const std::int64_t m = cluster.machines();
 
   MpcMultiplyReport rep;

@@ -11,8 +11,8 @@
 //   3. The combine re-expands the H child results into the parent index
 //      space (colored union), computes opt(·, jG) / opt(iG, ·) on grid
 //      lines via the flattened-tree descent — each descent phase is one
-//      batched offline rank search (Lemma 2.6) over a level of the
-//      merge-tree index; the per-child δ increment collapses to
+//      batched offline rank search (Lemma 2.6) over one tree level's
+//      unsorted key array; the per-child δ increment collapses to
 //      RANK(node, r, col) − RANK(node, q, col) — and finishes the crossed
 //      G×G subgrids locally (§3.3, shared solve_box).
 //
@@ -35,17 +35,24 @@
 namespace monge::core {
 
 struct MpcMultiplyOptions {
-  /// Split arity H. 0 = paper schedule max(2, round(n^eta)).
+  /// Split arity H >= 2. 0 = paper schedule max(2, round(n^eta)).
   std::int64_t split_h = 0;
   /// Exponent for the paper schedule; <0 means (1-δ)/10 with δ inferred
   /// from the cluster (δ = log m / log n).
   double split_eta = -1.0;
-  /// Merge-tree fanout for the grid-line descent. 0 = same as split H.
+  /// Merge-tree fanout (>= 2) for the grid-line descent. 0 = split H.
   std::int64_t tree_fanout = 0;
   /// Grid spacing G (also the leaf threshold). 0 = ceil(n / m), the
   /// paper's G = n^{1−δ}.
   std::int64_t box_g = 0;
 };
+
+/// Throws InvalidRequestError unless split_h and tree_fanout are each 0
+/// (the paper schedule) or at least 2, and box_g is at least 0. An arity of
+/// 1 never shrinks a subproblem or widens a tree node, so the multiply
+/// would never end. Every MPC multiply entry, mpc_lis and the Solver call
+/// this before their first round.
+void validate_options(const MpcMultiplyOptions& options);
 
 struct MpcMultiplyReport {
   std::int64_t rounds = 0;           // cluster rounds consumed by this call

@@ -32,6 +32,7 @@ void charge_padding_rounds(mpc::Cluster& cluster,
 std::vector<Perm> mpc_subunit_multiply_batch(
     mpc::Cluster& cluster, const std::vector<std::pair<Perm, Perm>>& pairs,
     const MpcMultiplyOptions& options, MpcMultiplyReport* report) {
+  validate_options(options);
   charge_padding_rounds(cluster, pairs);
 
   // §4.1 padding via the shared sequential helpers (monge/subperm.h); the

@@ -23,6 +23,7 @@ using mpc::PerMachine;
 
 MpcLisResult mpc_lis(Cluster& cluster, std::span<const std::int64_t> seq,
                      const MpcLisOptions& options) {
+  core::validate_options(options.multiply);
   const auto n = static_cast<std::int64_t>(seq.size());
   const std::int64_t m = cluster.machines();
   MpcLisResult result;

@@ -73,8 +73,7 @@ PrefixResult exclusive_prefix(Cluster& c,
                               const PerMachine<std::int64_t>& val) {
   const std::int64_t m = c.machines();
   MONGE_CHECK(static_cast<std::int64_t>(val.size()) == m);
-  const std::int64_t f = collective_fanout(c);
-  const RangeTree tree(m, f);
+  const RangeTree tree(m, prefix_fanout(c));
 
   // subtree[i] accumulates the sum of machine i's tree subtree; child_sum
   // records each child's subtree sum at the parent for the down-sweep.
@@ -194,36 +193,29 @@ DistVector<std::int64_t> rank_search(Cluster& c,
                                      const DistVector<std::int64_t>& values,
                                      const DistVector<std::int64_t>& queries) {
   const std::int64_t m = c.machines();
-  const std::int64_t nv = values.size();
   const std::int64_t nq = queries.size();
+  MONGE_CHECK(queries.is_balanced());  // answers come back in its layout
 
   struct Tagged {
     std::int64_t sort_key;  // (key << 1) | is_value, so queries come first
     std::int64_t id;        // query index, or -1 for values
   };
 
-  // 1. Build the combined vector (values then queries) by routing.
-  PerMachine<std::vector<std::pair<std::int64_t, Tagged>>> items(
-      static_cast<std::size_t>(m));
+  // 1. Each machine tags its own values and queries side by side. The
+  //    shards come out uneven; the sort's final rebalance evens them.
+  DistVector<Tagged> combined(c, values.size() + nq);
   for (std::int64_t i = 0; i < m; ++i) {
-    const auto& vloc = values.local(i);
-    const auto& qloc = queries.local(i);
-    items[static_cast<std::size_t>(i)].reserve(vloc.size() + qloc.size());
-    const std::int64_t vlo = values.layout().lo(i);
-    for (std::size_t k = 0; k < vloc.size(); ++k) {
-      MONGE_DCHECK(std::llabs(vloc[k]) < (std::int64_t{1} << 62));
-      items[static_cast<std::size_t>(i)].push_back(
-          {vlo + static_cast<std::int64_t>(k),
-           Tagged{(vloc[k] << 1) | 1, -1}});
+    auto& loc = combined.local(i);
+    loc.clear();
+    for (const std::int64_t v : values.local(i)) {
+      MONGE_DCHECK(std::llabs(v) < (std::int64_t{1} << 62));
+      loc.push_back(Tagged{(v << 1) | 1, -1});
     }
-    const std::int64_t qlo = queries.layout().lo(i);
-    for (std::size_t k = 0; k < qloc.size(); ++k) {
-      const std::int64_t qidx = qlo + static_cast<std::int64_t>(k);
-      items[static_cast<std::size_t>(i)].push_back(
-          {nv + qidx, Tagged{qloc[k] << 1, qidx}});
+    std::int64_t qidx = queries.layout().lo(i);
+    for (const std::int64_t q : queries.local(i)) {
+      loc.push_back(Tagged{q << 1, qidx++});
     }
   }
-  DistVector<Tagged> combined = scatter_to_layout(c, nv + nq, items);
 
   // 2. Sort together; the tie-break bit puts each query before the values
   //    that share its key, so its rank counts strictly-smaller values.

@@ -8,14 +8,15 @@
 //   sample_sort        Lemma 2.5 — top-down F-ary splitter refinement with
 //                      mergeable quantile sketches, F = Θ(√s); the group
 //                      hierarchy has ⌈log_F m⌉ = O(δ/(1−δ)) levels.
-//   exclusive_prefix   Lemma 2.4 — F-ary up/down sweep.
+//   exclusive_prefix   Lemma 2.4 — up/down sweep of a fanout-Θ(s) tree.
 //   broadcast_from     F-ary tree broadcast.
 //   route_items        one all-to-all round (messages grouped per
 //                      destination).
 //   scatter_to_layout  route (global_index, value) pairs into a canonical
 //                      block-distributed vector.
 //   inverse_permutation Lemma 2.3 — one routing round.
-//   rank_search        Lemma 2.6 — tag, sort together, prefix, route back.
+//   rank_search        Lemma 2.6 — tag in place, sort together, prefix,
+//                      route back.
 //   gather_to_machine  collect a whole DistVector on one machine (used for
 //                      machine-local base cases; throws SpaceLimitError if
 //                      it does not fit, which is exactly the fully-
@@ -63,14 +64,20 @@ inline int tree_max_depth(std::int64_t size, std::int64_t f) {
   return size <= 1 ? 0 : tree_depth_of_rank(size - 1, f);
 }
 
-/// Collective fan-out: F = Θ(√s), so one tree node's traffic (F sketches of
-/// O(F) words) fits the space budget at every δ.
+/// Sort and broadcast fan-out: F = Θ(√s), so one tree node's traffic (F
+/// sketches of O(F) words) fits the space budget at every δ.
 inline std::int64_t collective_fanout(const Cluster& c) {
   const auto s = static_cast<double>(c.space_words());
   auto f = static_cast<std::int64_t>(std::sqrt(s / 16.0));
   f = std::max<std::int64_t>(f, 2);
   f = std::min<std::int64_t>(f, 1 << 12);
   return f;
+}
+
+/// Prefix fan-out F = clamp(s/16, 2, 4096): a prefix message is at most 4
+/// words per child, envelope included. Depth 1 on fully_scalable, δ <= 1/2.
+inline std::int64_t prefix_fanout(const Cluster& c) {
+  return std::clamp<std::int64_t>(c.space_words() / 16, 2, 1 << 12);
 }
 
 namespace tags {
@@ -94,8 +101,8 @@ struct PrefixResult {
   std::int64_t total = 0;           // known by every machine afterwards
 };
 
-/// Exclusive prefix sums of one int64 per machine via an F-ary up/down
-/// sweep; 2·depth + 2 rounds.
+/// Exclusive prefix sums of one int64 per machine via a prefix_fanout-ary
+/// up/down sweep; 2·depth + 2 rounds.
 PrefixResult exclusive_prefix(Cluster& c, const PerMachine<std::int64_t>& val);
 
 /// Broadcast a word payload from `root` to all machines along the F-ary
@@ -234,8 +241,8 @@ std::vector<SketchItem> leaf_sketch(const std::vector<T>& sorted,
 
 }  // namespace detail
 
-/// Deterministic sort of a DistVector by an int64 key (Lemma 2.5).
-/// Afterwards the vector is globally sorted and in canonical block layout.
+/// Deterministic sort of a DistVector (shards of any sizes) by an int64 key
+/// (Lemma 2.5). Afterwards it is globally sorted and in canonical layout.
 /// Round count is Θ((δ/(1−δ))²) — independent of n for fixed δ.
 template <typename T, typename KeyFn>
 void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
@@ -470,7 +477,8 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
 /// Implemented exactly as the Lemma 2.6 proof: tag values/queries, sort
 /// them together with queries preceding equal values, take a prefix sum of
 /// the value indicator, and route answers back by query index.
-/// Keys must fit in 62 bits (they are combined with a tie-break bit).
+/// Values may come in any order and shard sizes; queries (and answers) in
+/// the canonical layout. Keys must fit in 62 bits (plus a tie-break bit).
 DistVector<std::int64_t> rank_search(Cluster& c,
                                      const DistVector<std::int64_t>& values,
                                      const DistVector<std::int64_t>& queries);

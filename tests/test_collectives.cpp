@@ -41,6 +41,16 @@ TEST_P(PrefixSweep, MatchesSequentialScan) {
     acc += vals[static_cast<std::size_t>(i)];
   }
   EXPECT_EQ(pr.total, acc);
+  // 2·depth + 2 rounds: a lone machine takes 2, one level under the root
+  // takes 4, and the s = 64 cases (fanout 4) still build deeper trees.
+  if (m == 1) {
+    EXPECT_EQ(c.rounds(), 2);
+  } else if (m - 1 <= prefix_fanout(c)) {
+    EXPECT_EQ(c.rounds(), 4);
+  } else {
+    EXPECT_EQ(space, 64);
+    EXPECT_GT(c.rounds(), 4);
+  }
 }
 
 using MP = std::pair<std::int64_t, std::int64_t>;
@@ -60,6 +70,26 @@ TEST(Prefix, RoundsGrowOnlyWithTreeDepth) {
   exclusive_prefix(c64, v64);
   exclusive_prefix(c8, v8);
   EXPECT_EQ(c64.rounds(), c8.rounds());
+}
+
+TEST(Prefix, FourRoundsOnFullyScalableClusters) {
+  // A prefix message is a scalar, so the tree's fanout is sized off s, not
+  // √s: with δ <= 1/2 it covers every machine and the sweep is one level.
+  for (const std::int64_t n : {std::int64_t{16}, std::int64_t{1} << 10,
+                               std::int64_t{1} << 16}) {
+    for (const double delta : {0.1, 0.3, 0.5}) {
+      MpcConfig cfg = MpcConfig::fully_scalable(n, delta);
+      cfg.threads = 1;
+      Cluster c(cfg);
+      if (c.machines() == 1) continue;
+      EXPECT_GE(prefix_fanout(c), c.machines() - 1) << n << " " << delta;
+      const PrefixResult pr = exclusive_prefix(
+          c, PerMachine<std::int64_t>(static_cast<std::size_t>(c.machines()),
+                                      1));
+      EXPECT_EQ(pr.total, c.machines());
+      EXPECT_EQ(c.rounds(), 4) << "n=" << n << " delta=" << delta;
+    }
+  }
 }
 
 // --- broadcast --------------------------------------------------------------
@@ -250,6 +280,37 @@ TEST(Sort, RoundCountIndependentOfNForFixedDelta) {
   EXPECT_LE(rounds.back(), rounds.front() + 2);
 }
 
+// rank_search hands the sort shards of any size (each machine's values
+// next to its queries). Under a strict budget the sort must still end
+// globally sorted and in the canonical layout.
+TEST(Sort, UnbalancedShardsUnderStrictBudget) {
+  const std::int64_t n = 1 << 12;
+  for (const bool all_on_one : {true, false}) {
+    MpcConfig cfg = MpcConfig::fully_scalable(n, 0.5);
+    cfg.threads = 2;
+    Cluster c(cfg);
+    Rng rng(all_on_one ? 3 : 4);
+    std::vector<std::int64_t> data(static_cast<std::size_t>(n));
+    for (auto& x : data) x = rng.next_in(0, 1 << 20);
+    DistVector<std::int64_t> dv(c, n);
+    for (std::int64_t i = 0; i < c.machines(); ++i) dv.local(i).clear();
+    for (const std::int64_t x : data) {
+      // One machine holds everything, or a random quarter of the machines
+      // hold it all and the rest stay empty.
+      const std::int64_t owner =
+          all_on_one ? c.machines() / 2
+                     : 4 * rng.next_in(0, c.machines() / 4 - 1);
+      dv.local(owner).push_back(x);
+    }
+    ASSERT_FALSE(dv.is_balanced());
+    ASSERT_NO_THROW(sample_sort(c, dv, [](std::int64_t x) { return x; }))
+        << "all_on_one=" << all_on_one;
+    std::sort(data.begin(), data.end());
+    EXPECT_TRUE(dv.is_balanced());
+    EXPECT_EQ(dv.to_host(), data);
+  }
+}
+
 TEST(Sort, RespectsStrictSpaceAtScale) {
   // Under the paper's regime the sort must stay within s per machine.
   const std::int64_t n = 1 << 14;
@@ -293,6 +354,50 @@ TEST(RankSearch, TiesCountStrictlySmaller) {
   auto dvq = DistVector<std::int64_t>::from_host(c, queries);
   EXPECT_EQ(rank_search(c, dvv, dvq).to_host(),
             (std::vector<std::int64_t>{0, 3, 3, 4}));
+}
+
+// The values may come in any order and any shard sizes (the tree index
+// hands rank_search unsorted level arrays); the queries come in the
+// canonical layout. Every answer must equal a host-side count.
+TEST(RankSearch, ValuesInAnyOrderAndLayout) {
+  enum class Layout { kCanonical, kAllOnOne, kSomeEmpty };
+  for (const std::int64_t m : {1, 6}) {
+    for (const std::int64_t nv : {0, 1, 300}) {
+      for (const std::int64_t nq : {0, 1, 200}) {
+        for (const Layout layout :
+             {Layout::kCanonical, Layout::kAllOnOne, Layout::kSomeEmpty}) {
+          Cluster c(cfg_of(m, 4096));
+          Rng rng(static_cast<std::uint64_t>(m * 1000 + nv * 10 + nq));
+          std::vector<std::int64_t> values(static_cast<std::size_t>(nv));
+          std::vector<std::int64_t> queries(static_cast<std::size_t>(nq));
+          for (auto& v : values) v = rng.next_in(0, 40);  // duplicate keys
+          for (auto& q : queries) q = rng.next_in(-3, 43);
+          auto dvv = DistVector<std::int64_t>::from_host(c, values);
+          if (layout != Layout::kCanonical) {
+            for (std::int64_t i = 0; i < m; ++i) dvv.local(i).clear();
+            for (const std::int64_t v : values) {
+              const std::int64_t owner =
+                  layout == Layout::kAllOnOne ? m - 1
+                                              : 2 * rng.next_in(0, (m - 1) / 2);
+              dvv.local(owner).push_back(v);
+            }
+          }
+          auto dvq = DistVector<std::int64_t>::from_host(c, queries);
+          const auto got = rank_search(c, dvv, dvq);
+          EXPECT_TRUE(got.is_balanced());
+          const auto host = got.to_host();
+          ASSERT_EQ(host.size(), queries.size());
+          for (std::size_t i = 0; i < queries.size(); ++i) {
+            std::int64_t expect = 0;
+            for (const std::int64_t v : values) expect += (v < queries[i]);
+            EXPECT_EQ(host[i], expect)
+                << "m=" << m << " nv=" << nv << " nq=" << nq << " layout="
+                << static_cast<int>(layout) << " q=" << queries[i];
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(InversePermutation, MatchesDirectInverse) {

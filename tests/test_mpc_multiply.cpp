@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/mpc_subperm.h"
 #include "lis/mpc_lis.h"
@@ -12,6 +13,7 @@
 #include "monge/distribution.h"
 #include "monge/seaweed.h"
 #include "monge/subperm.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace monge::core {
@@ -168,7 +170,10 @@ TEST(MpcMultiply, WarmupProfileCostsMoreRoundsThanPaper) {
 // course the product itself — must be bit-identical to the pre-batch
 // per-leaf path. The goldens below were captured from the pre-batch
 // implementation (commit 5796e22) at n=512, m=16, seed 2024 for the three
-// profile shapes (paper-style H-way/flat, warmup, CHS23-style).
+// profile shapes (paper-style H-way/flat, warmup, CHS23-style). The rounds
+// were re-pinned when the tree index stopped sorting its levels,
+// rank_search stopped routing its inputs into place and exclusive_prefix
+// got a fanout sized for scalars; the other counters did not move.
 // ---------------------------------------------------------------------------
 TEST(MpcMultiply, ReportInvariantsPinnedAcrossLeafBatching) {
   struct Golden {
@@ -176,9 +181,9 @@ TEST(MpcMultiply, ReportInvariantsPinnedAcrossLeafBatching) {
     std::int64_t rounds, levels, lines, crossed, queries, interesting;
   };
   const Golden goldens[] = {
-      {8, 8, 778, 2, 82, 74, 129956, 928},
-      {2, 8, 1500, 4, 158, 113, 9732, 1195},
-      {2, 2, 3033, 4, 158, 113, 6370, 1195},
+      {8, 8, 502, 2, 82, 74, 129956, 928},
+      {2, 8, 976, 4, 158, 113, 9732, 1195},
+      {2, 2, 1873, 4, 158, 113, 6370, 1195},
   };
   const std::int64_t n = 512;
   for (const Golden& g : goldens) {
@@ -207,7 +212,7 @@ TEST(MpcMultiply, ReportInvariantsPinnedAcrossLeafBatching) {
 // schedules (at reproduction sizes they all collapse to two-way splits —
 // the paper's H = n^{(1−δ)/10} only exceeds 2 at astronomical n) and their
 // multiplies must stay correct with the batched leaf solve; rounds/levels
-// are pinned to the pre-batch golden.
+// are pinned to the golden above.
 TEST(MpcMultiply, PresetProfilesUnchangedByLeafBatching) {
   const std::int64_t n = 512;
   int which = 0;
@@ -223,10 +228,44 @@ TEST(MpcMultiply, PresetProfilesUnchangedByLeafBatching) {
     ASSERT_EQ(got, seaweed_multiply(a, b)) << "preset " << which;
     EXPECT_EQ(rep.split_h, 2) << "preset " << which;
     EXPECT_EQ(rep.tree_fanout, 2) << "preset " << which;
-    EXPECT_EQ(rep.rounds, 3033) << "preset " << which;
+    EXPECT_EQ(rep.rounds, 1873) << "preset " << which;
     EXPECT_EQ(rep.levels, 4) << "preset " << which;
     ++which;
   }
+}
+
+// An arity of 1 never shrinks a subproblem (split_h) or widens a tree node
+// (tree_fanout), so the multiply would spin forever; a lenient cluster
+// used to do exactly that for split_h = 1. Every MPC entry rejects it, and
+// negative knobs, before its first round.
+TEST(MpcMultiply, ArityOneFailsClosedBeforeAnyRound) {
+  Rng rng(41);
+  const Perm a = Perm::random(64, rng);
+  const Perm b = Perm::random(64, rng);
+  std::vector<std::int64_t> seq(64);
+  for (auto& x : seq) x = rng.next_in(0, 1000);
+  MpcMultiplyOptions h1, f1, g_neg;
+  h1.split_h = 1;
+  f1.tree_fanout = 1;
+  g_neg.box_g = -1;
+  for (const MpcMultiplyOptions& opt : {h1, f1, g_neg}) {
+    EXPECT_THROW(validate_options(opt), InvalidRequestError);
+    mpc::Cluster cluster(cfg_of(4, 1 << 22, /*strict=*/false));
+    EXPECT_THROW(mpc_unit_monge_multiply(cluster, a, b, opt),
+                 InvalidRequestError);
+    EXPECT_THROW(mpc_subunit_multiply(cluster, a, b, opt),
+                 InvalidRequestError);
+    lis::MpcLisOptions lopt;
+    lopt.multiply = opt;
+    EXPECT_THROW(lis::mpc_lis(cluster, seq, lopt), InvalidRequestError);
+    EXPECT_EQ(cluster.rounds(), 0);
+  }
+  EXPECT_NO_THROW(validate_options({}));
+  MpcMultiplyOptions smallest;
+  smallest.split_h = 2;
+  smallest.tree_fanout = 2;
+  smallest.box_g = 1;
+  EXPECT_NO_THROW(validate_options(smallest));
 }
 
 TEST(MpcMultiply, IdentityAndReverse) {
@@ -323,11 +362,15 @@ TEST(MpcMultiply, StrictSpaceComplianceAtPaperSchedule) {
 // cluster with default options — the configuration the Solver's MpcSim
 // backend provisions — at 1 and 3 cluster threads. Rounds, words sent,
 // the peak machine footprint and the peak resident words are exact counts
-// that a change to the round engine must not move. They were captured
-// from the engine before it reused its per-round buffers, batched the
-// resident audit and routed without sorting. Only the LIS peak differs
+// that a change to the round engine must not move. The peaks were
+// captured from the engine before it reused its per-round buffers, batched
+// the resident audit and routed without sorting; only the LIS peak differs
 // from that capture (3179 words), because max_machine_words counts the
-// outbox too since the same change.
+// outbox too since the same change. Rounds, words and the multiply's
+// resident peak were re-pinned when the tree index stopped sorting its
+// levels, rank_search stopped routing its inputs into place and
+// exclusive_prefix got a fanout sized for scalars; both machine peaks
+// held.
 // ---------------------------------------------------------------------------
 TEST(MpcGolden, PaperMeasuresOnFullyScalableCluster) {
   const std::int64_t n = 1 << 10;
@@ -348,10 +391,10 @@ TEST(MpcGolden, PaperMeasuresOnFullyScalableCluster) {
       const lis::MpcLisResult res = lis::mpc_lis(cluster, seq);
       EXPECT_EQ(res.lis, 63) << "threads=" << threads;
       EXPECT_EQ(res.lis, lis::lis_length(seq));
-      EXPECT_EQ(res.rounds, 18096) << "threads=" << threads;
+      EXPECT_EQ(res.rounds, 9694) << "threads=" << threads;
       const mpc::ClusterStats& s = cluster.stats();
-      EXPECT_EQ(s.rounds, 18096) << "threads=" << threads;
-      EXPECT_EQ(s.total_comm_words, 7839968) << "threads=" << threads;
+      EXPECT_EQ(s.rounds, 9694) << "threads=" << threads;
+      EXPECT_EQ(s.total_comm_words, 4615486) << "threads=" << threads;
       EXPECT_EQ(s.max_machine_words, 3337) << "threads=" << threads;
       EXPECT_EQ(s.max_resident_words, 1525) << "threads=" << threads;
     }
@@ -360,12 +403,12 @@ TEST(MpcGolden, PaperMeasuresOnFullyScalableCluster) {
       MpcMultiplyReport rep;
       EXPECT_EQ(mpc_unit_monge_multiply(cluster, a, b, {}, &rep), product)
           << "threads=" << threads;
-      EXPECT_EQ(rep.rounds, 6497) << "threads=" << threads;
+      EXPECT_EQ(rep.rounds, 3487) << "threads=" << threads;
       const mpc::ClusterStats& s = cluster.stats();
-      EXPECT_EQ(s.rounds, 6497) << "threads=" << threads;
-      EXPECT_EQ(s.total_comm_words, 2817989) << "threads=" << threads;
+      EXPECT_EQ(s.rounds, 3487) << "threads=" << threads;
+      EXPECT_EQ(s.total_comm_words, 1660815) << "threads=" << threads;
       EXPECT_EQ(s.max_machine_words, 3115) << "threads=" << threads;
-      EXPECT_EQ(s.max_resident_words, 1455) << "threads=" << threads;
+      EXPECT_EQ(s.max_resident_words, 1449) << "threads=" << threads;
     }
   }
 }

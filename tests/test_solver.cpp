@@ -79,6 +79,13 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
   SolverOptions bad_multiply;
   bad_multiply.multiply.split_h = -1;
   EXPECT_THROW(Solver{bad_multiply}, InvalidRequestError);
+  // An arity of 1 would never end a MpcSim multiply.
+  SolverOptions split_one;
+  split_one.multiply.split_h = 1;
+  EXPECT_THROW(Solver{split_one}, InvalidRequestError);
+  SolverOptions fanout_one;
+  fanout_one.multiply.tree_fanout = 1;
+  EXPECT_THROW(Solver{fanout_one}, InvalidRequestError);
   SolverOptions bad_classes;
   bad_classes.lis_leaf_classes = -1;
   EXPECT_THROW(Solver{bad_classes}, InvalidRequestError);
