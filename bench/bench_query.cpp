@@ -30,6 +30,7 @@
 
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
 #include "query/semilocal_index.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -142,13 +143,14 @@ int main(int argc, char** argv) {
   // a subsample (mean extrapolates to qps).
   const auto resolves =
       std::min<std::int64_t>(o.baseline_resolves, o.queries);
+  SeaweedEngine engine;  // reused across rebuilds, as a Solver's is
   std::vector<double> resolve_ms;
   std::int64_t resolve_checksum = 0;
   for (std::int64_t q = 0; q < resolves; ++q) {
     const std::pair<std::int64_t, std::int64_t> one[] = {
         windows[static_cast<std::size_t>(q)]};
     const auto t0 = std::chrono::steady_clock::now();
-    const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+    const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq), engine);
     resolve_checksum += lis::kernel_window_lis_batch(kernel, one)[0];
     resolve_ms.push_back(
         std::chrono::duration<double, std::milli>(
@@ -164,7 +166,8 @@ int main(int argc, char** argv) {
   // batch, answered by the Fenwick sweep — the best the pre-index flow
   // can do when the batch is known up front.
   const auto offline_t0 = std::chrono::steady_clock::now();
-  const Perm offline_kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+  const Perm offline_kernel =
+      lis::lis_kernel(lis::rank_reduce_strict(seq), engine);
   const auto offline_answers =
       lis::kernel_window_lis_batch(offline_kernel, windows);
   const double offline_s = seconds_since(offline_t0);

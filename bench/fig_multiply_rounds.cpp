@@ -6,7 +6,7 @@
 
 #include "bench_common.h"
 #include "core/mpc_multiply.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "util/table.h"
 
 using namespace monge;
@@ -17,11 +17,12 @@ int main() {
       "(flat-ish), warmup (log n), CHS23-profile (log^2 n).\n\n");
   Table t({"n", "H", "paper H-way", "warmup (2-way,flat)",
            "CHS23 (2-way,binary)"});
+  SeaweedEngine engine;
   for (std::int64_t n : {1 << 9, 1 << 11, 1 << 13}) {
     Rng rng(static_cast<std::uint64_t>(n));
     const Perm a = Perm::random(n, rng);
     const Perm b = Perm::random(n, rng);
-    const Perm expect = seaweed_multiply(a, b);
+    const Perm expect = engine.multiply(a, b);
     const std::int64_t h = std::max<std::int64_t>(4, ipow_frac(n, 0.25));
 
     std::vector<std::string> row = {std::to_string(n), std::to_string(h)};

@@ -10,6 +10,7 @@
 #include "lcs/hunt_szymanski.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
 
 using namespace monge;
 
@@ -28,8 +29,9 @@ BENCHMARK(BM_PatienceLis)->Range(1 << 10, 1 << 18)->Complexity();
 void BM_LisKernelSeq(benchmark::State& state) {
   Rng rng(2);
   const auto p = rng.permutation(state.range(0));
+  SeaweedEngine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lis::lis_kernel(p));
+    benchmark::DoNotOptimize(lis::lis_kernel(p, engine));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -41,8 +43,9 @@ BENCHMARK(BM_LisKernelSeq)->Range(1 << 8, 1 << 13)->Complexity();
 void BM_LisKernelPerMerge(benchmark::State& state) {
   Rng rng(2);
   const auto p = rng.permutation(state.range(0));
+  SeaweedEngine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lis::lis_kernel_reference(p));
+    benchmark::DoNotOptimize(lis::lis_kernel_reference(p, engine));
   }
   state.SetComplexityN(state.range(0));
 }

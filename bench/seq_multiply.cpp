@@ -31,14 +31,16 @@ void multiply_one(SeaweedEngine& engine, const std::vector<std::int32_t>& a,
   engine.multiply_batch_into({&pair, 1}, {&dst, 1});
 }
 
-// Public API path (routes through the thread-local engine).
+// Perm-in/Perm-out path: the validating SeaweedEngine::multiply, with an
+// output Perm allocated per call.
 void BM_SeaweedMultiply(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   Rng rng(1);
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
+  SeaweedEngine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seaweed_multiply(a, b));
+    benchmark::DoNotOptimize(engine.multiply(a, b));
   }
 }
 BENCHMARK(BM_SeaweedMultiply)->Range(1 << 8, 1 << 14);

@@ -143,8 +143,9 @@ struct SolveReport {
   /// Representation decisions this request caused on the Solver-owned
   /// engine (dense vs. core-sparse nodes, block outcomes) — a per-request
   /// delta of SeaweedEngine::representation_stats(). Zeros for routes that
-  /// never touch the owned engine (patience sorting, the MpcSim
-  /// cluster's per-worker engines, index lookups).
+  /// never touch the owned engine (patience sorting, index lookups, and
+  /// the MpcSim leaf solves, which run on engines each simulated machine
+  /// builds for its round).
   RepresentationStats representation{};
 
   bool ok() const { return status == SolveStatus::kOk; }

@@ -342,6 +342,17 @@ std::vector<std::pair<std::int32_t, std::int64_t>> node_decomposition(
   return out;
 }
 
+/// The paper's split arity max(2, n^{(1−δ)/10}), with δ = log m / log n.
+std::int64_t paper_h(std::int64_t n, const Cluster& cluster) {
+  const std::int64_t m = cluster.machines();
+  const double delta =
+      std::log(static_cast<double>(std::max<std::int64_t>(m, 2))) /
+      std::log(static_cast<double>(std::max<std::int64_t>(n, 2)));
+  return std::max<std::int64_t>(
+      2, ipow_frac(std::max<std::int64_t>(n, 2),
+                   std::max(0.0, 1.0 - delta) / 10.0));
+}
+
 }  // namespace
 
 void validate_options(const MpcMultiplyOptions& options) {
@@ -394,19 +405,16 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
   }
   const auto n = static_cast<std::int64_t>(host_a.size());  // total points
 
-  // Resolve the schedule from the largest problem in the batch.
+  // Resolve the schedule from the largest problem in the batch. An H above
+  // n_sched only adds empty blocks and a fanout above n_sched + 1 only adds
+  // empty tree children, while the grid-line descents grow ~H² and 2F per
+  // step, so both are capped there.
   const std::int64_t n_sched = std::max<std::int64_t>(meta0.max_size, 2);
-  const double delta =
-      std::log(static_cast<double>(std::max<std::int64_t>(m, 2))) /
-      std::log(static_cast<double>(n_sched));
-  const double eta =
-      options.split_eta >= 0 ? options.split_eta
-                             : std::max(0.0, (1.0 - delta)) / 10.0;
   const std::int64_t h_split =
-      options.split_h > 0 ? options.split_h
-                          : std::max<std::int64_t>(2, ipow_frac(n_sched, eta));
-  const std::int64_t fanout =
-      options.tree_fanout > 0 ? options.tree_fanout : h_split;
+      std::min(n_sched, options.split_h > 0 ? options.split_h
+                                            : paper_h(n_sched, cluster));
+  const std::int64_t fanout = std::min(
+      n_sched + 1, options.tree_fanout > 0 ? options.tree_fanout : h_split);
   const std::int64_t g = options.box_g > 0
                              ? options.box_g
                              : std::max<std::int64_t>(1, ceil_div(n, m));
@@ -559,11 +567,12 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
       bs[p.sub].push_back(p);
     }
     // Pack every leaf into one contiguous buffer and hand the whole batch
-    // to this worker thread's engine in ONE call: a single arena sizing
-    // and zero per-leaf heap allocations, instead of one call (with its
-    // own output vector) per leaf. Machines still run
-    // concurrently on the cluster pool; within a machine the batch is
-    // solved back-to-back (the thread-local engine is sequential).
+    // to this machine's engine in ONE call: a single arena sizing and zero
+    // per-leaf heap allocations. The engine is the machine's local memory
+    // for this round (§3 step 2: leaves are solved machine-locally) and
+    // keeps no state across rounds, so recovery can re-run the round.
+    // Machines run concurrently on the cluster pool; within a machine the
+    // batch is solved back-to-back (the engine has no pool).
     std::int64_t total = 0;
     for (auto& [sub, ap] : as) {
       const std::int64_t k = leaf.size[static_cast<std::size_t>(sub)];
@@ -613,7 +622,8 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
                        std::span<const std::int32_t>(pb_store).subspan(off, k)});
       outs.push_back(std::span<std::int32_t>(pc_store).subspan(off, k));
     }
-    default_seaweed_engine().multiply_batch_into(views, outs);
+    SeaweedEngine engine;
+    engine.multiply_batch_into(views, outs);
     for (std::size_t j = 0; j < batch_subs.size(); ++j) {
       const std::int32_t sub = batch_subs[j];
       const std::int64_t k = leaf.size[static_cast<std::size_t>(sub)];
@@ -980,20 +990,6 @@ Perm mpc_unit_monge_multiply(Cluster& cluster, const Perm& a, const Perm& b,
   auto out = mpc_unit_monge_multiply_batch(cluster, pairs, options, report);
   return std::move(out[0]);
 }
-
-namespace {
-
-std::int64_t paper_h(std::int64_t n, const Cluster& cluster) {
-  const std::int64_t m = cluster.machines();
-  const double delta =
-      std::log(static_cast<double>(std::max<std::int64_t>(m, 2))) /
-      std::log(static_cast<double>(std::max<std::int64_t>(n, 2)));
-  return std::max<std::int64_t>(
-      2, ipow_frac(std::max<std::int64_t>(n, 2),
-                   std::max(0.0, 1.0 - delta) / 10.0));
-}
-
-}  // namespace
 
 MpcMultiplyOptions paper_profile(std::int64_t n, const Cluster& cluster) {
   MpcMultiplyOptions o;

@@ -35,12 +35,11 @@
 namespace monge::core {
 
 struct MpcMultiplyOptions {
-  /// Split arity H >= 2. 0 = paper schedule max(2, round(n^eta)).
+  /// Split arity H >= 2. 0 = paper schedule max(2, round(n^{(1−δ)/10}))
+  /// with δ = log m / log n. Runs as min(H, n) for the batch's largest n.
   std::int64_t split_h = 0;
-  /// Exponent for the paper schedule; <0 means (1-δ)/10 with δ inferred
-  /// from the cluster (δ = log m / log n).
-  double split_eta = -1.0;
   /// Merge-tree fanout (>= 2) for the grid-line descent. 0 = split H.
+  /// Runs as min(fanout, n + 1) for the batch's largest n.
   std::int64_t tree_fanout = 0;
   /// Grid spacing G (also the leaf threshold). 0 = ceil(n / m), the
   /// paper's G = n^{1−δ}.
@@ -50,15 +49,15 @@ struct MpcMultiplyOptions {
 /// Throws InvalidRequestError unless split_h and tree_fanout are each 0
 /// (the paper schedule) or at least 2, and box_g is at least 0. An arity of
 /// 1 never shrinks a subproblem or widens a tree node, so the multiply
-/// would never end. Every MPC multiply entry, mpc_lis and the Solver call
-/// this before their first round.
+/// would never end. Every MPC multiply entry, mpc_lis, mpc_lcs and the
+/// Solver call this before their first round.
 void validate_options(const MpcMultiplyOptions& options);
 
 struct MpcMultiplyReport {
   std::int64_t rounds = 0;           // cluster rounds consumed by this call
   std::int64_t levels = 0;           // recursion depth
-  std::int64_t split_h = 2;          // resolved H
-  std::int64_t tree_fanout = 2;      // resolved descent fanout
+  std::int64_t split_h = 2;          // resolved H, as it ran (capped)
+  std::int64_t tree_fanout = 2;      // resolved descent fanout (capped)
   std::int64_t box_g = 0;            // resolved G
   std::int64_t lines = 0;            // grid lines processed (all levels)
   std::int64_t crossed_boxes = 0;    // §3.3 subgrid instances

@@ -13,6 +13,9 @@ MpcLcsResult mpc_lcs(mpc::Cluster& cluster, std::span<const std::int64_t> s,
 MpcLcsResult mpc_lcs_over_matches(mpc::Cluster& cluster,
                                   std::span<const std::int64_t> match_seq,
                                   const lis::MpcLisOptions& options) {
+  // Validate even when no match reaches mpc_lis, so a schedule fails
+  // closed whatever the strings.
+  core::validate_options(options.multiply);
   MpcLcsResult out;
   const std::int64_t start = cluster.rounds();
   out.matches = static_cast<std::int64_t>(match_seq.size());

@@ -18,7 +18,9 @@ struct MpcLcsResult {
 
 /// LCS of two sequences. The match-pair generation is the standard HS
 /// product; the cluster must be provisioned for the match count (the
-/// paper's m = n^{1+δ} machines / Θ̃(n²) total space regime).
+/// paper's m = n^{1+δ} machines / Θ̃(n²) total space regime). Throws
+/// InvalidRequestError before any round when core::validate_options
+/// rejects options.multiply, even if the strings share no symbol.
 MpcLcsResult mpc_lcs(mpc::Cluster& cluster, std::span<const std::int64_t> s,
                      std::span<const std::int64_t> t,
                      const lis::MpcLisOptions& options = {});

@@ -258,21 +258,12 @@ void check_permutation(std::span<const std::int32_t> p) {
 
 }  // namespace
 
-Perm lis_kernel(std::span<const std::int32_t> perm) {
-  return lis_kernel(perm, default_seaweed_engine());
-}
-
 Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine) {
   check_permutation(perm);
   const std::vector<std::int32_t> p(perm.begin(), perm.end());
   auto kernels = kernel_forest({&p, 1}, engine);
   return Perm::from_rows(std::move(kernels[0]),
                          static_cast<std::int64_t>(perm.size()));
-}
-
-std::vector<Perm> lis_kernel_batch(
-    std::span<const std::vector<std::int32_t>> perms) {
-  return lis_kernel_batch(perms, default_seaweed_engine());
 }
 
 std::vector<Perm> lis_kernel_batch(
@@ -286,10 +277,6 @@ std::vector<Perm> lis_kernel_batch(
                                   static_cast<std::int64_t>(perms[t].size())));
   }
   return out;
-}
-
-Perm lis_kernel_reference(std::span<const std::int32_t> perm) {
-  return lis_kernel_reference(perm, default_seaweed_engine());
 }
 
 Perm lis_kernel_reference(std::span<const std::int32_t> perm,

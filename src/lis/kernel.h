@@ -44,17 +44,10 @@ class SeaweedEngine;
 namespace monge::lis {
 
 /// Sequential kernel of a permutation (O(n log^2 n)). Level-order: one
-/// batched subunit-Monge product per merge level on the thread-local
-/// default SeaweedEngine. Bit-identical to lis_kernel_reference.
-///
-/// @param perm a permutation of [0, n) (validated).
-/// @return the n×n kernel sub-permutation.
-Perm lis_kernel(std::span<const std::int32_t> perm);
-
-/// Same, but every merge level's batched subunit-Monge product runs on the
-/// caller-provided engine (reusing its arena, and striping the level across
-/// its thread pool if one is configured). Deterministic for every thread
-/// count.
+/// batched subunit-Monge product per merge level, run on the caller's
+/// engine (reusing its arena, and striping the level across its thread
+/// pool if one is configured). Deterministic for every thread count and
+/// bit-identical to lis_kernel_reference.
 ///
 /// @param perm a permutation of [0, n) (validated).
 /// @param engine the engine every batched merge level runs on.
@@ -64,16 +57,10 @@ Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine);
 /// Kernels of many independent permutations in one level-order pass: each
 /// global merge level issues ONE batched engine call covering that level's
 /// merges across ALL inputs, so b kernels of size n cost O(log n) engine
-/// calls instead of O(b log n). This is what the MPC LIS driver uses for
-/// the leaf kernels a machine owns. Results are bit-identical to per-input
+/// calls instead of O(b log n). The leaf round of lis::mpc_lis runs it
+/// once per machine, over the classes that machine owns, on an engine the
+/// machine builds for the round. Results are bit-identical to per-input
 /// lis_kernel for every thread count.
-///
-/// @param perms one permutation of [0, n_i) per entry (each validated).
-/// @return one kernel per input, in input order.
-std::vector<Perm> lis_kernel_batch(
-    std::span<const std::vector<std::int32_t>> perms);
-
-/// Same, on a caller-provided engine.
 ///
 /// @param perms one permutation of [0, n_i) per entry (each validated).
 /// @param engine the engine every batched merge level runs on.
@@ -86,12 +73,6 @@ std::vector<Perm> lis_kernel_batch(
 /// each counted by subunit_batch_calls(). Kept as the
 /// differential-fuzz reference for the level-order builder and as the
 /// per-merge baseline in bench/lis_wallclock.
-///
-/// @param perm a permutation of [0, n) (validated).
-/// @return the n×n kernel sub-permutation.
-Perm lis_kernel_reference(std::span<const std::int32_t> perm);
-
-/// Same, on a caller-provided engine.
 ///
 /// @param perm a permutation of [0, n) (validated).
 /// @param engine the engine every per-merge subunit product runs on.

@@ -5,6 +5,7 @@
 #include "core/mpc_subperm.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
 #include "mpc/collectives.h"
 #include "mpc/dist_vector.h"
 #include "util/check.h"
@@ -95,8 +96,10 @@ MpcLisResult mpc_lis(Cluster& cluster, std::span<const std::int64_t> seq,
       mine[static_cast<std::size_t>(e.cls)].push_back({e.pos, e.rk});
     }
     // Collect the machine's class-local permutations, then solve every leaf
-    // kernel through one level-order batch: each global merge level is one
-    // batched subunit engine call shared by all classes this machine owns.
+    // kernel through one level-order batch on the machine's own engine
+    // (its local memory for this round, no state kept across rounds): each
+    // global merge level is one batched subunit engine call shared by all
+    // classes this machine owns.
     std::vector<std::int64_t> owned;
     std::vector<std::vector<std::int32_t>> local_perms;
     for (std::int64_t k = 0; k < classes; ++k) {
@@ -121,7 +124,8 @@ MpcLisResult mpc_lis(Cluster& cluster, std::span<const std::int64_t> seq,
       local_perms.push_back(std::move(local_perm));
     }
     if (owned.empty()) return;
-    auto kernels = lis_kernel_batch(local_perms);
+    SeaweedEngine engine;
+    auto kernels = lis_kernel_batch(local_perms, engine);
     for (std::size_t j = 0; j < owned.size(); ++j) {
       state[static_cast<std::size_t>(owned[j])].kernel = std::move(kernels[j]);
     }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 
-#include "monge/engine.h"
 #include "util/check.h"
 
 namespace monge {
@@ -219,17 +218,6 @@ CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,
   out.rows_ = std::move(out_rows);
   out.cols_ = std::move(out_cols);
   return out;
-}
-
-CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,
-                                    const CoreSparsePerm& b) {
-  return core_sparse_multiply(
-      a, b,
-      [](std::span<const std::int32_t> da, std::span<const std::int32_t> db,
-         std::span<std::int32_t> dc) {
-        const PermPairView pair{da, db};
-        default_seaweed_engine().multiply_batch_into({&pair, 1}, {&dc, 1});
-      });
 }
 
 }  // namespace monge

@@ -169,13 +169,4 @@ CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,
                                     const CoreSparsePerm& b,
                                     const DenseBlockSolver& solve_block);
 
-/// Convenience overload: interacting blocks are solved by the calling
-/// thread's default_seaweed_engine().
-///
-/// @param a left operand.
-/// @param b right operand; b.n() must equal a.n().
-/// @return the product in core-sparse form.
-CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,
-                                    const CoreSparsePerm& b);
-
 }  // namespace monge

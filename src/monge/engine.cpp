@@ -819,9 +819,4 @@ Perm SeaweedEngine::multiply(const Perm& a, const Perm& b) {
   return Perm::from_rows(std::move(out), b.cols());
 }
 
-SeaweedEngine& default_seaweed_engine() {
-  thread_local SeaweedEngine engine;
-  return engine;
-}
-
 }  // namespace monge

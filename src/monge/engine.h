@@ -71,9 +71,9 @@
 // unique, so every path produces the same bits.
 //
 // An engine instance is NOT thread-safe (it owns one arena); use one
-// engine per thread. default_seaweed_engine() returns a thread-local
-// sequential instance whose arena is reused across calls — this is what
-// the seaweed_multiply / subunit_multiply wrappers use.
+// engine per thread. Every engine has an owner: a Solver owns one, the MPC
+// leaf rounds build one per machine (its machine-local memory), and free
+// functions that multiply take the engine as an argument.
 #pragma once
 
 #include <atomic>
@@ -330,12 +330,5 @@ class SeaweedEngine {
   /// thread; forked workers read it through a const Plan.
   mutable std::map<std::int64_t, std::size_t> size_cache_;
 };
-
-/// Thread-local sequential engine with a persistent arena; backs the
-/// seaweed_multiply / subunit_multiply wrappers and the MPC simulator's
-/// machine-local solves.
-///
-/// @return the calling thread's engine (default options, no pool).
-SeaweedEngine& default_seaweed_engine();
 
 }  // namespace monge

@@ -1,6 +1,5 @@
 #include "monge/seaweed.h"
 
-#include "monge/engine.h"
 #include "monge/steady_ant.h"
 #include "util/check.h"
 
@@ -94,10 +93,6 @@ std::vector<std::int32_t> seaweed_multiply_reference_raw(
     const std::vector<std::int32_t>& a, const std::vector<std::int32_t>& b) {
   MONGE_CHECK(a.size() == b.size());
   return mul_rec(a, b);
-}
-
-Perm seaweed_multiply(const Perm& a, const Perm& b) {
-  return default_seaweed_engine().multiply(a, b);
 }
 
 }  // namespace monge

@@ -5,10 +5,6 @@
 
 namespace monge {
 
-Perm subunit_multiply(const Perm& a, const Perm& b) {
-  return subunit_multiply(a, b, default_seaweed_engine());
-}
-
 Perm subunit_multiply(const Perm& a, const Perm& b, SeaweedEngine& engine) {
   MONGE_CHECK_MSG(a.cols() == b.rows(), "inner dimensions disagree: "
                                             << a.cols() << " vs " << b.rows());
@@ -104,10 +100,6 @@ Perm subunit_unpad(const SubunitPadding& info, const Perm& padded_product) {
     }
   }
   return out;
-}
-
-Perm subunit_multiply_padded(const Perm& a, const Perm& b) {
-  return subunit_multiply_padded(a, b, default_seaweed_engine());
 }
 
 Perm subunit_multiply_padded(const Perm& a, const Perm& b,

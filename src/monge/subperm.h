@@ -34,18 +34,10 @@ class SeaweedEngine;
 
 /// PC = PA ⊡ PB for sub-permutations (Lemma 2.2 guarantees PC exists and is
 /// a sub-permutation). O((n2) log(n2)) on top of the compaction. Runs on
-/// the thread-local default SeaweedEngine (whose arena is reused across
-/// calls); deterministic — bit-identical to subunit_multiply_padded.
-///
-/// @param a sub-permutation PA (rA×n2).
-/// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
-/// @return the product sub-permutation (rA×cB).
-Perm subunit_multiply(const Perm& a, const Perm& b);
-
-/// Same, but on a caller-provided engine (reusing its arena, and its thread
-/// pool if configured — results stay bit-identical for every thread
-/// count). One subunit_multiply_batch_into call, so it advances
-/// engine.subunit_batch_calls() by exactly 1.
+/// the caller's engine (reusing its arena, and its thread pool if
+/// configured); deterministic — bit-identical to subunit_multiply_padded
+/// for every thread count. One subunit_multiply_batch_into call, so it
+/// advances engine.subunit_batch_calls() by exactly 1.
 ///
 /// @param a sub-permutation PA (rA×n2).
 /// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
@@ -88,16 +80,9 @@ std::pair<Perm, Perm> subunit_pad_pair(const Perm& a, const Perm& b,
 Perm subunit_unpad(const SubunitPadding& info, const Perm& padded_product);
 
 /// The legacy reduction through explicitly padded Perms, kept as the
-/// reference the direct engine path is differential-fuzzed against. Runs
-/// on the thread-local default SeaweedEngine.
-///
-/// @param a sub-permutation PA (rA×n2).
-/// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
-/// @return the product sub-permutation (rA×cB).
-Perm subunit_multiply_padded(const Perm& a, const Perm& b);
-
-/// Same, on a caller-provided engine (arena reused across calls; results
-/// bit-identical for every thread count).
+/// reference the direct engine path is differential-fuzzed against. The
+/// padded core multiply runs on the caller's engine (arena reused across
+/// calls; results bit-identical for every thread count).
 ///
 /// @param a sub-permutation PA (rA×n2).
 /// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().

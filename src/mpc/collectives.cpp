@@ -155,40 +155,6 @@ PrefixResult exclusive_prefix(Cluster& c,
   return out;
 }
 
-std::vector<Word> broadcast_from(Cluster& c, std::int64_t root,
-                                 std::vector<Word> payload) {
-  const std::int64_t m = c.machines();
-  const std::int64_t f = collective_fanout(c);
-  const int dmax = tree_max_depth(m, f);
-  // Tree ranks are machine ids rotated so that `root` is rank 0.
-  const auto rank_of = [&](std::int64_t machine) {
-    return (machine - root + m) % m;
-  };
-  const auto machine_of = [&](std::int64_t rank) { return (rank + root) % m; };
-
-  PerMachine<std::vector<Word>> have(static_cast<std::size_t>(m));
-  have[static_cast<std::size_t>(root)] = payload;
-  for (int hop = 0; hop <= dmax; ++hop) {
-    c.run_round([&](MachineCtx& mc) {
-      const std::int64_t i = mc.id();
-      for (const Message& msg : mc.inbox()) {
-        if (msg.tag == tags::kBcast) {
-          have[static_cast<std::size_t>(i)] = msg.payload;
-        }
-      }
-      const std::int64_t rank = rank_of(i);
-      if (tree_depth_of_rank(rank, f) != hop) return;
-      for (std::int64_t k = 1; k <= f; ++k) {
-        const std::int64_t child = rank * f + k;
-        if (child >= m) break;
-        mc.send(machine_of(child), tags::kBcast,
-                have[static_cast<std::size_t>(i)]);
-      }
-    });
-  }
-  return payload;
-}
-
 DistVector<std::int64_t> rank_search(Cluster& c,
                                      const DistVector<std::int64_t>& values,
                                      const DistVector<std::int64_t>& queries) {

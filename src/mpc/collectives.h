@@ -9,7 +9,6 @@
 //                      mergeable quantile sketches, F = Θ(√s); the group
 //                      hierarchy has ⌈log_F m⌉ = O(δ/(1−δ)) levels.
 //   exclusive_prefix   Lemma 2.4 — up/down sweep of a fanout-Θ(s) tree.
-//   broadcast_from     F-ary tree broadcast.
 //   route_items        one all-to-all round (messages grouped per
 //                      destination).
 //   scatter_to_layout  route (global_index, value) pairs into a canonical
@@ -86,7 +85,6 @@ inline constexpr std::int64_t kSplitters = 2;
 inline constexpr std::int64_t kFragment = 3;
 inline constexpr std::int64_t kChunk = 4;
 inline constexpr std::int64_t kDown = 6;
-inline constexpr std::int64_t kBcast = 7;
 inline constexpr std::int64_t kItem = 8;
 /// Up-sweep messages use tags [kUp, kUp + fanout) to carry the child slot.
 inline constexpr std::int64_t kUp = 1 << 20;
@@ -104,11 +102,6 @@ struct PrefixResult {
 /// Exclusive prefix sums of one int64 per machine via a prefix_fanout-ary
 /// up/down sweep; 2·depth + 2 rounds.
 PrefixResult exclusive_prefix(Cluster& c, const PerMachine<std::int64_t>& val);
-
-/// Broadcast a word payload from `root` to all machines along the F-ary
-/// tree; depth + 1 rounds. Returns the payload (identical on every machine).
-std::vector<Word> broadcast_from(Cluster& c, std::int64_t root,
-                                 std::vector<Word> payload);
 
 // ---------------------------------------------------------------------------
 // One-round routing of typed items.

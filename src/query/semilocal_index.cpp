@@ -76,7 +76,8 @@ SemiLocalIndex SemiLocalIndex::build(std::span<const std::int32_t> kernel_rows,
 
 SemiLocalIndex SemiLocalIndex::from_sequence(
     std::span<const std::int64_t> seq) {
-  return from_sequence(seq, default_seaweed_engine());
+  SeaweedEngine engine;
+  return from_sequence(seq, engine);
 }
 
 SemiLocalIndex SemiLocalIndex::from_sequence(std::span<const std::int64_t> seq,
@@ -90,11 +91,6 @@ SemiLocalIndex SemiLocalIndex::from_kernel(const Perm& kernel) {
                   "SemiLocalIndex::from_kernel requires a square kernel, got "
                       << kernel.rows() << "x" << kernel.cols());
   return build(kernel.row_to_col(), {});
-}
-
-SemiLocalIndex SemiLocalIndex::from_lcs_pair(std::span<const std::int64_t> s,
-                                             std::span<const std::int64_t> t) {
-  return from_lcs_pair(s, t, default_seaweed_engine());
 }
 
 SemiLocalIndex SemiLocalIndex::from_lcs_pair(std::span<const std::int64_t> s,

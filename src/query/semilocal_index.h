@@ -62,8 +62,9 @@ class SemiLocalIndex {
  public:
   /// Window-LIS index of a sequence (duplicates allowed; strict LIS):
   /// rank-reduces, builds the semi-local kernel through ONE
-  /// lis::lis_kernel run on the thread-local default engine, and erects
-  /// the merge tree. O(n log² n) build, O(n log n) space retained.
+  /// lis::lis_kernel run on a default-options engine that lives for this
+  /// call only, and erects the merge tree. O(n log² n) build, O(n log n)
+  /// space retained.
   ///
   /// @param seq the sequence to serve window-LIS queries over.
   /// @return the immutable index.
@@ -91,15 +92,9 @@ class SemiLocalIndex {
   /// Hunt–Szymanski match sequence (its size is the indexed n — worst
   /// case |s|·|t|, the paper's m = n^{1+δ} regime; must be
   /// <= kSeaweedEngineMaxN), the kernel of its rank reduction, and the
-  /// row-start translation table.
-  ///
-  /// @param s the query side; substrings of s are the query domain.
-  /// @param t the fixed text.
-  /// @return the immutable index.
-  static SemiLocalIndex from_lcs_pair(std::span<const std::int64_t> s,
-                                      std::span<const std::int64_t> t);
-
-  /// Same, with the kernel build running on the caller's engine.
+  /// row-start translation table. The kernel build runs on the caller's
+  /// engine (reusing its arena and striping across its pool when one is
+  /// configured).
   ///
   /// @param s the query side; substrings of s are the query domain.
   /// @param t the fixed text.

@@ -92,26 +92,6 @@ TEST(Prefix, FourRoundsOnFullyScalableClusters) {
   }
 }
 
-// --- broadcast --------------------------------------------------------------
-
-TEST(Broadcast, ReachesEveryMachine) {
-  for (std::int64_t m : {1, 2, 5, 32}) {
-    Cluster c(cfg_of(m));
-    // Probe delivery by having every machine count broadcast traffic: after
-    // the collective, total communicated words >= (m-1) * payload.
-    const auto out = broadcast_from(c, 0, {42, 43});
-    EXPECT_EQ(out, (std::vector<Word>{42, 43}));
-    if (m > 1) {
-      EXPECT_GE(c.stats().total_comm_words, (m - 1) * 2);
-    }
-  }
-}
-
-TEST(Broadcast, NonZeroRoot) {
-  Cluster c(cfg_of(7));
-  EXPECT_EQ(broadcast_from(c, 3, {9}), (std::vector<Word>{9}));
-}
-
 // --- route / scatter --------------------------------------------------------
 
 TEST(RouteItems, DeliversGroupedByDestination) {

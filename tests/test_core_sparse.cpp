@@ -336,18 +336,10 @@ TEST(CoreSparseMultiply, InteractingClustersPayOneBlockEach) {
   EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
 }
 
-TEST(CoreSparseMultiply, DefaultOverloadUsesTheThreadLocalEngine) {
-  Rng rng(3);
-  const auto a = near_identity_perm(100, 2, 6, rng);
-  const auto b = rng.permutation(100);
-  const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
-                                        CoreSparsePerm::from_dense(b));
-  EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
-}
-
 TEST(CoreSparseMultiply, SizeMismatchThrows) {
   EXPECT_THROW(core_sparse_multiply(CoreSparsePerm::identity(3),
-                                    CoreSparsePerm::identity(4)),
+                                    CoreSparsePerm::identity(4),
+                                    oracle_block_solver()),
                std::logic_error);
 }
 

@@ -4,7 +4,6 @@
 
 #include <numeric>
 
-#include "lis/kernel.h"
 #include "monge/distribution.h"
 #include "monge/seaweed.h"
 #include "monge/subperm.h"
@@ -584,13 +583,6 @@ TEST(SeaweedEngine, SubunitMultiplyOverload) {
     const Perm b = Perm::random_sub(30, 50, 21, rng);
     ASSERT_EQ(subunit_multiply(a, b, engine), multiply_naive(a, b));
   }
-}
-
-TEST(SeaweedEngine, LisKernelOverload) {
-  Rng rng(123);
-  SeaweedEngine engine;
-  const auto p = rng.permutation(200);
-  EXPECT_EQ(lis::lis_kernel(p, engine), lis::lis_kernel(p));
 }
 
 }  // namespace

@@ -50,10 +50,11 @@ TEST(LisSequential, RankReduceStrictPreservesLis) {
 
 TEST(LisKernel, ExhaustiveSmallPermutations) {
   // Every permutation of sizes 1..7: the kernel must answer every window.
+  SeaweedEngine engine;
   for (int n = 1; n <= 7; ++n) {
     const auto perms = testing::all_permutations(n);
     for (const auto& p : perms) {
-      const Perm kernel = lis_kernel(p);
+      const Perm kernel = lis_kernel(p, engine);
       const auto seq = to64(p);
       for (std::int64_t l = 0; l < n; ++l) {
         for (std::int64_t r = l; r < n; ++r) {
@@ -78,7 +79,8 @@ TEST(LisWindow, EmptyWindowsAnswerZero) {
   EXPECT_EQ(lis_window(seq, 5, 4), 0);
   EXPECT_THROW(lis_window(seq, 1, 3), std::logic_error);  // non-empty, OOB
 
-  const Perm kernel = lis_kernel(std::vector<std::int32_t>{2, 0, 1});
+  SeaweedEngine engine;
+  const Perm kernel = lis_kernel(std::vector<std::int32_t>{2, 0, 1}, engine);
   EXPECT_EQ(kernel_window_lis(kernel, 0, -1), 0);
   EXPECT_EQ(kernel_window_lis(kernel, 5, 4), 0);
   const std::vector<std::pair<std::int64_t, std::int64_t>> windows = {
@@ -92,9 +94,10 @@ TEST(LisWindow, EmptyWindowsAnswerZero) {
 class KernelRandom : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(KernelRandom, WindowsMatchOracle) {
+  SeaweedEngine engine;
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const auto p = rng.permutation(GetParam());
-  const Perm kernel = lis_kernel(p);
+  const Perm kernel = lis_kernel(p, engine);
   const auto seq = to64(p);
   EXPECT_EQ(lis_from_kernel(kernel), lis_length(seq));
   std::vector<std::pair<std::int64_t, std::int64_t>> windows;
@@ -120,12 +123,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, KernelRandom,
 // answered against the per-window patience oracle batch. (rank_reduce_strict
 // preserves strict comparisons pointwise, so every window agrees.)
 TEST(LisKernelStress, WindowBatchMatchesSequentialOracle) {
+  SeaweedEngine engine;
   Rng rng(20260729);
   for (int trial = 0; trial < 25; ++trial) {
     const std::int64_t n = rng.next_in(1, 200);
     std::vector<std::int64_t> seq(static_cast<std::size_t>(n));
     for (auto& x : seq) x = rng.next_in(-8, 8);
-    const Perm kernel = lis_kernel(rank_reduce_strict(seq));
+    const Perm kernel = lis_kernel(rank_reduce_strict(seq), engine);
     std::vector<std::pair<std::int64_t, std::int64_t>> windows;
     for (int q = 0; q < 30; ++q) {
       const std::int64_t l = rng.next_in(0, n - 1);
@@ -146,6 +150,7 @@ TEST(LisKernelStress, WindowBatchMatchesSequentialOracle) {
 // one rng.permutation(n) per seed). The level-order builder must
 // reproduce them bit for bit.
 TEST(LisKernelLevelOrder, PinnedGoldens) {
+  SeaweedEngine engine;
   struct Golden {
     std::vector<std::int32_t> perm;
     std::vector<std::int32_t> kernel;  // row->col, -1 = empty row
@@ -193,7 +198,7 @@ TEST(LisKernelLevelOrder, PinnedGoldens) {
         62, 60, 59, 52, 53, 56, 55, -1, 57, 58, -1, -1, 61, -1, -1, -1}},
   };
   for (std::size_t g = 0; g < goldens.size(); ++g) {
-    const Perm got = lis_kernel(goldens[g].perm);
+    const Perm got = lis_kernel(goldens[g].perm, engine);
     const Perm want = Perm::from_rows(
         goldens[g].kernel, static_cast<std::int64_t>(goldens[g].perm.size()));
     ASSERT_EQ(got, want) << "golden " << g;
@@ -250,6 +255,7 @@ TEST(LisKernelLevelOrder, OneBatchedEngineCallPerLevel) {
 // The second forest mixes many tiny inputs with inputs above the grain, so
 // a level's stripes hold several merges.
 TEST(LisKernelLevelOrder, BatchMatchesPerInput) {
+  SeaweedEngine engine;
   Rng rng(424242);
   std::vector<std::vector<std::vector<std::int32_t>>> forests(2);
   for (const std::int64_t n : {17, 0, 1, 64, 5, 33, 128, 2, 0, 90}) {
@@ -259,7 +265,7 @@ TEST(LisKernelLevelOrder, BatchMatchesPerInput) {
   forests[1].push_back(rng.permutation(1500));
   forests[1].insert(forests[1].begin() + 20,
                     testing::nearly_sorted_perm(2000, 12, rng));
-  EXPECT_TRUE(lis_kernel_batch({}).empty());
+  EXPECT_TRUE(lis_kernel_batch({}, engine).empty());
   for (std::size_t k = 0; k < forests.size(); ++k) {
     const auto& perms = forests[k];
     SeaweedEngine sequential;
@@ -267,7 +273,7 @@ TEST(LisKernelLevelOrder, BatchMatchesPerInput) {
     const RepresentationStats expect_rep = sequential.representation_stats();
     ASSERT_EQ(batch.size(), perms.size());
     for (std::size_t t = 0; t < perms.size(); ++t) {
-      ASSERT_EQ(batch[t], lis_kernel(perms[t]))
+      ASSERT_EQ(batch[t], lis_kernel(perms[t], engine))
           << "forest=" << k << " input=" << t;
     }
     for (const unsigned threads : {1u, 2u, 3u, 4u}) {
@@ -284,13 +290,14 @@ TEST(LisKernelLevelOrder, BatchMatchesPerInput) {
 }
 
 TEST(LisKernel, SortedAndReversedExtremes) {
+  SeaweedEngine engine;
   std::vector<std::int32_t> sorted(50), rev(50);
   for (int i = 0; i < 50; ++i) {
     sorted[static_cast<std::size_t>(i)] = i;
     rev[static_cast<std::size_t>(i)] = 49 - i;
   }
-  EXPECT_EQ(lis_kernel(sorted).point_count(), 0);  // LIS = n everywhere
-  EXPECT_EQ(lis_from_kernel(lis_kernel(rev)), 1);
+  EXPECT_EQ(lis_kernel(sorted, engine).point_count(), 0);  // LIS = n everywhere
+  EXPECT_EQ(lis_from_kernel(lis_kernel(rev, engine)), 1);
 }
 
 mpc::MpcConfig cfg_of(std::int64_t machines) {

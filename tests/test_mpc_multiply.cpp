@@ -8,10 +8,11 @@
 #include <vector>
 
 #include "core/mpc_subperm.h"
+#include "lcs/mpc_lcs.h"
 #include "lis/mpc_lis.h"
 #include "lis/sequential.h"
 #include "monge/distribution.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "monge/subperm.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -37,6 +38,7 @@ struct MulCase {
 class MpcMulSweep : public ::testing::TestWithParam<MulCase> {};
 
 TEST_P(MpcMulSweep, MatchesSeaweed) {
+  SeaweedEngine engine;
   const auto& p = GetParam();
   mpc::Cluster cluster(cfg_of(p.m, 1 << 22, /*strict=*/false));
   Rng rng(p.seed);
@@ -49,7 +51,7 @@ TEST_P(MpcMulSweep, MatchesSeaweed) {
     const Perm b = Perm::random(p.n, rng);
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b))
+    ASSERT_EQ(got, engine.multiply(a, b))
         << "n=" << p.n << " m=" << p.m << " h=" << p.h;
     EXPECT_GT(rep.rounds, 0);
   }
@@ -91,6 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MpcMultiply, DefaultScheduleOnFullyScalableCluster) {
+  SeaweedEngine engine;
   const std::int64_t n = 1 << 10;
   for (double delta : {0.3, 0.5}) {
     mpc::Cluster cluster(mpc::MpcConfig::fully_scalable(n, delta));
@@ -100,11 +103,12 @@ TEST(MpcMultiply, DefaultScheduleOnFullyScalableCluster) {
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(
         cluster, a, b, paper_profile(n, cluster), &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b)) << "delta=" << delta;
+    ASSERT_EQ(got, engine.multiply(a, b)) << "delta=" << delta;
   }
 }
 
 TEST(MpcMultiply, BatchSharesRounds) {
+  SeaweedEngine engine;
   mpc::Cluster cluster(cfg_of(8));
   Rng rng(77);
   std::vector<std::pair<Perm, Perm>> pairs;
@@ -120,7 +124,7 @@ TEST(MpcMultiply, BatchSharesRounds) {
       mpc_unit_monge_multiply_batch(cluster, pairs, opt, &rep_batch);
   ASSERT_EQ(got.size(), pairs.size());
   for (std::size_t t = 0; t < pairs.size(); ++t) {
-    ASSERT_EQ(got[t], seaweed_multiply(pairs[t].first, pairs[t].second))
+    ASSERT_EQ(got[t], engine.multiply(pairs[t].first, pairs[t].second))
         << "pair " << t;
   }
   // One batched call must cost far fewer rounds than six sequential calls.
@@ -135,12 +139,13 @@ TEST(MpcMultiply, BatchSharesRounds) {
 }
 
 TEST(MpcMultiply, WarmupProfileCostsMoreRoundsThanPaper) {
+  SeaweedEngine engine;
   const std::int64_t n = 1 << 9;
   mpc::Cluster c1(cfg_of(16)), c2(cfg_of(16)), c3(cfg_of(16));
   Rng rng(5);
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
-  const Perm expect = seaweed_multiply(a, b);
+  const Perm expect = engine.multiply(a, b);
 
   MpcMultiplyOptions paper;  // H-way split and flattened tree
   paper.split_h = 8;
@@ -196,7 +201,8 @@ TEST(MpcMultiply, ReportInvariantsPinnedAcrossLeafBatching) {
     opt.tree_fanout = g.fanout;
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b)) << "h=" << g.h << " f=" << g.fanout;
+    ASSERT_EQ(got, SeaweedEngine().multiply(a, b))
+        << "h=" << g.h << " f=" << g.fanout;
     EXPECT_EQ(rep.rounds, g.rounds) << "h=" << g.h << " f=" << g.fanout;
     EXPECT_EQ(rep.levels, g.levels) << "h=" << g.h << " f=" << g.fanout;
     EXPECT_EQ(rep.box_g, 32) << "h=" << g.h << " f=" << g.fanout;
@@ -225,7 +231,7 @@ TEST(MpcMultiply, PresetProfilesUnchangedByLeafBatching) {
     const Perm b = Perm::random(n, rng);
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b)) << "preset " << which;
+    ASSERT_EQ(got, SeaweedEngine().multiply(a, b)) << "preset " << which;
     EXPECT_EQ(rep.split_h, 2) << "preset " << which;
     EXPECT_EQ(rep.tree_fanout, 2) << "preset " << which;
     EXPECT_EQ(rep.rounds, 1873) << "preset " << which;
@@ -258,6 +264,10 @@ TEST(MpcMultiply, ArityOneFailsClosedBeforeAnyRound) {
     lis::MpcLisOptions lopt;
     lopt.multiply = opt;
     EXPECT_THROW(lis::mpc_lis(cluster, seq, lopt), InvalidRequestError);
+    // Strings with no common symbol never reach mpc_lis; still rejected.
+    EXPECT_THROW(lcs::mpc_lcs(cluster, std::vector<std::int64_t>{1, 2},
+                              std::vector<std::int64_t>{3, 4}, lopt),
+                 InvalidRequestError);
     EXPECT_EQ(cluster.rounds(), 0);
   }
   EXPECT_NO_THROW(validate_options({}));
@@ -266,6 +276,34 @@ TEST(MpcMultiply, ArityOneFailsClosedBeforeAnyRound) {
   smallest.tree_fanout = 2;
   smallest.box_g = 1;
   EXPECT_NO_THROW(validate_options(smallest));
+}
+
+// Arities above the input only add empty blocks and tree children, so the
+// schedule runs H = min(H, n) and fanout = min(fanout, n + 1): H = F = 64
+// at n = 8 is exactly the H = 8, F = 9 run, down to the rank queries.
+TEST(MpcMultiply, AritiesCappedAtTheLargestInput) {
+  Rng rng(5);
+  const Perm a = Perm::random(8, rng);
+  const Perm b = Perm::random(8, rng);
+  const auto run = [&](std::int64_t h, std::int64_t f,
+                       MpcMultiplyReport& rep) {
+    mpc::MpcConfig cfg = cfg_of(2, 1 << 22, /*strict=*/false);
+    cfg.threads = 1;
+    mpc::Cluster cluster(cfg);
+    MpcMultiplyOptions opt;
+    opt.split_h = h;
+    opt.tree_fanout = f;
+    return mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
+  };
+  MpcMultiplyReport wide, capped;
+  const Perm got = run(64, 64, wide);
+  EXPECT_EQ(got, run(8, 9, capped));
+  SeaweedEngine engine;
+  EXPECT_EQ(got, engine.multiply(a, b));
+  EXPECT_EQ(wide.split_h, 8);
+  EXPECT_EQ(wide.tree_fanout, 9);
+  EXPECT_EQ(wide.rounds, capped.rounds);
+  EXPECT_EQ(wide.rank_queries, capped.rank_queries);
 }
 
 TEST(MpcMultiply, IdentityAndReverse) {
@@ -290,6 +328,7 @@ struct SubCase {
 class MpcSubSweep : public ::testing::TestWithParam<SubCase> {};
 
 TEST_P(MpcSubSweep, MatchesSequentialSubunit) {
+  SeaweedEngine engine;
   const auto& p = GetParam();
   mpc::Cluster cluster(cfg_of(6, 1 << 22, false));
   Rng rng(p.seed);
@@ -300,7 +339,7 @@ TEST_P(MpcSubSweep, MatchesSequentialSubunit) {
     opt.split_h = 2;
     opt.box_g = 8;
     ASSERT_EQ(mpc_subunit_multiply(cluster, a, b, opt),
-              subunit_multiply(a, b));
+              subunit_multiply(a, b, engine));
   }
 }
 
@@ -326,6 +365,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MpcSubunit, BatchMixedShapes) {
+  SeaweedEngine engine;
   mpc::Cluster cluster(cfg_of(5, 1 << 22, false));
   Rng rng(13);
   std::vector<std::pair<Perm, Perm>> pairs;
@@ -336,13 +376,15 @@ TEST(MpcSubunit, BatchMixedShapes) {
   const auto got = mpc_subunit_multiply_batch(cluster, pairs);
   ASSERT_EQ(got.size(), 3u);
   for (std::size_t t = 0; t < 3; ++t) {
-    ASSERT_EQ(got[t], subunit_multiply(pairs[t].first, pairs[t].second));
+    ASSERT_EQ(got[t],
+              subunit_multiply(pairs[t].first, pairs[t].second, engine));
   }
 }
 
 TEST(MpcMultiply, StrictSpaceComplianceAtPaperSchedule) {
   // The headline claim: the whole multiplication respects s = Õ(n^{1−δ})
   // per machine, with strict checking on.
+  SeaweedEngine engine;
   const std::int64_t n = 1 << 10;
   mpc::Cluster cluster(mpc::MpcConfig::fully_scalable(n, 0.5));
   Rng rng(3);
@@ -351,7 +393,7 @@ TEST(MpcMultiply, StrictSpaceComplianceAtPaperSchedule) {
   EXPECT_NO_THROW({
     const Perm got = mpc_unit_monge_multiply(cluster, a, b,
                                              paper_profile(n, cluster));
-    EXPECT_EQ(got, seaweed_multiply(a, b));
+    EXPECT_EQ(got, engine.multiply(a, b));
   });
 }
 
@@ -379,7 +421,7 @@ TEST(MpcGolden, PaperMeasuresOnFullyScalableCluster) {
   for (auto& x : seq) x = rng.next_in(0, std::int64_t{1} << 40);
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
-  const Perm product = seaweed_multiply(a, b);
+  const Perm product = SeaweedEngine().multiply(a, b);
 
   for (const unsigned threads : {1u, 3u}) {
     mpc::MpcConfig cfg = mpc::MpcConfig::fully_scalable(n, 0.5);

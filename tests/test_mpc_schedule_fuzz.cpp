@@ -1,9 +1,10 @@
 // Schedule fuzz for the MpcSim pipeline. Each case draws a cluster
 // (machines, space, strict or lenient, threads) and a schedule (split
 // arity H, descent fanout, grid spacing G, LIS leaf classes) from a fixed
-// seed list. Every full multiply, subunit multiply and LIS must then equal
-// the sequential oracle or throw SpaceLimitError; a draw with an arity of
-// 1 must throw InvalidRequestError before the cluster runs a round.
+// seed list. Every full multiply, subunit multiply, LIS and LCS must then
+// equal the sequential oracle or throw SpaceLimitError; a draw with an
+// arity of 1 must throw InvalidRequestError before the cluster runs a
+// round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +15,12 @@
 
 #include "core/mpc_multiply.h"
 #include "core/mpc_subperm.h"
+#include "lcs/hunt_szymanski.h"
+#include "lcs/mpc_lcs.h"
 #include "lis/kernel.h"
 #include "lis/mpc_lis.h"
 #include "lis/sequential.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "monge/subperm.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -92,6 +95,10 @@ class MpcScheduleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MpcScheduleFuzz, MatchesSequentialOrFailsClosed) {
   Rng rng(GetParam());
+  // The LCS strings come from their own stream, so the other ops draw the
+  // same cases as they would without them.
+  Rng text_rng(GetParam() + 1000);
+  SeaweedEngine engine;
   int tally[3] = {0, 0, 0};  // by Outcome
   for (int k = 0; k < 4; ++k) {
     const Draw d = draw(rng);
@@ -107,6 +114,16 @@ TEST_P(MpcScheduleFuzz, MatchesSequentialOrFailsClosed) {
         inner, cols, rng.next_in(0, std::min(inner, cols)), rng);
     std::vector<std::int64_t> seq(static_cast<std::size_t>(d.n));
     for (auto& x : seq) x = rng.next_in(0, d.n);
+    // LCS strings over a 4-letter alphabet, each up to 2·sqrt(n) long, so
+    // the expected match count |s|·|t|/4 stays within about n.
+    std::int64_t len = 1;
+    while ((len + 1) * (len + 1) <= 4 * d.n) ++len;
+    std::vector<std::int64_t> s(
+        static_cast<std::size_t>(text_rng.next_in(0, len)));
+    std::vector<std::int64_t> t(
+        static_cast<std::size_t>(text_rng.next_in(0, len)));
+    for (auto& x : s) x = text_rng.next_in(0, 3);
+    for (auto& x : t) x = text_rng.next_in(0, 3);
     lis::MpcLisOptions lopt;
     lopt.multiply = d.opt;
     lopt.leaf_classes = d.leaf_classes;
@@ -115,19 +132,23 @@ TEST_P(MpcScheduleFuzz, MatchesSequentialOrFailsClosed) {
         run(d,
             [&](mpc::Cluster& c) {
               return mpc_unit_monge_multiply(c, a, b, d.opt) ==
-                     seaweed_multiply(a, b);
+                     engine.multiply(a, b);
             }),
         run(d,
             [&](mpc::Cluster& c) {
               return mpc_subunit_multiply(c, sa, sb, d.opt) ==
-                     subunit_multiply(sa, sb);
+                     subunit_multiply(sa, sb, engine);
             }),
         run(d,
             [&](mpc::Cluster& c) {
               const lis::MpcLisResult res = lis::mpc_lis(c, seq, lopt);
               return res.lis == lis::lis_length(seq) &&
                      res.kernel ==
-                         lis::lis_kernel(lis::rank_reduce_strict(seq));
+                         lis::lis_kernel(lis::rank_reduce_strict(seq), engine);
+            }),
+        run(d,
+            [&](mpc::Cluster& c) {
+              return lcs::mpc_lcs(c, s, t, lopt).lcs == lcs::lcs_dp(s, t);
             }),
     };
     for (const Outcome o : outcomes) {

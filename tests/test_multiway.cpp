@@ -6,7 +6,7 @@
 #include <string>
 
 #include "monge/distribution.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "testing.h"
 #include "util/rng.h"
 
@@ -136,6 +136,7 @@ TEST(Multiway, HEqualsOneIsIdentityCombine) {
 }
 
 TEST(Multiway, AgreesWithSeaweedOnLargerInputs) {
+  SeaweedEngine engine;
   Rng rng(31);
   const std::int64_t n = 256;
   for (std::int32_t h : {2, 4, 8}) {
@@ -144,7 +145,7 @@ TEST(Multiway, AgreesWithSeaweedOnLargerInputs) {
     // make_colored_split uses the naive oracle internally — too slow at
     // n=256? (256^3 = 16M — fine.)
     const ColoredPointSet s = make_colored_split(a, b, h);
-    ASSERT_EQ(multiway_combine_seq(s, 32), seaweed_multiply(a, b))
+    ASSERT_EQ(multiway_combine_seq(s, 32), engine.multiply(a, b))
         << "h=" << h;
   }
 }

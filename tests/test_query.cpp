@@ -24,6 +24,7 @@
 #include "lcs/hunt_szymanski.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
 #include "query/semilocal_index.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -181,11 +182,12 @@ TEST(SemiLocalIndex, LargeWindowFuzzAgainstKernelSweep) {
   // At sizes where the per-window patience oracle is too slow, pin against
   // kernel_window_lis_batch (itself oracle-pinned in test_lis.cpp) on the
   // SAME kernel the index persisted.
+  SeaweedEngine engine;
   constexpr std::int64_t kN = 4096;
   for (const Family& family : kFamilies) {
     Rng rng(1234);
     const auto seq = family.make(kN, rng);
-    const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+    const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq), engine);
     const SemiLocalIndex index = SemiLocalIndex::from_kernel(kernel);
     const Windows windows = fuzz_windows(kN, 2000, rng);
     EXPECT_EQ(index.window_lis_batch(windows),
@@ -230,9 +232,10 @@ TEST(SemiLocalIndex, EmptyAndSingletonSequences) {
 }
 
 TEST(SemiLocalIndex, MatchesKernelWindowLisPointwise) {
+  SeaweedEngine engine;
   Rng rng(7);
   const auto seq = family_random(129, rng);
-  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq), engine);
   const SemiLocalIndex index = SemiLocalIndex::from_kernel(kernel);
   for (std::int64_t l = 0; l < 129; l += 7) {
     for (std::int64_t r = l; r < 129; r += 5) {
@@ -266,13 +269,14 @@ TEST(SemiLocalIndex, AccessorsAndUniqueIds) {
 // ---------------------------------------------------------------------------
 
 TEST(SemiLocalIndex, SubstringLcsExhaustiveAgainstDp) {
+  SeaweedEngine engine;
   for (const std::uint64_t seed : {2u, 19u, 71u}) {
     Rng rng(seed);
     const std::int64_t ns = rng.next_in(20, 40);
     const std::int64_t nt = rng.next_in(20, 40);
     const auto s = family_duplicate_heavy(ns, rng);  // dense matches
     const auto t = family_duplicate_heavy(nt, rng);
-    const SemiLocalIndex index = SemiLocalIndex::from_lcs_pair(s, t);
+    const SemiLocalIndex index = SemiLocalIndex::from_lcs_pair(s, t, engine);
     EXPECT_TRUE(index.lcs_mode());
     EXPECT_EQ(index.source_rows(), ns);
     for (std::int64_t i = 0; i < ns; ++i) {
@@ -291,13 +295,14 @@ TEST(SemiLocalIndex, SubstringLcsExhaustiveAgainstDp) {
 }
 
 TEST(SemiLocalIndex, SubstringLcsSparseAndNoMatchAlphabets) {
+  SeaweedEngine engine;
   Rng rng(23);
   // Disjoint alphabets: zero matches, every substring answers 0.
   const auto s = family_random(30, rng);  // values in [-1000, 1000]
   std::vector<std::int64_t> t(25);
   for (auto& x : t) x = rng.next_in(5000, 6000);
   t[3] = 5500;  // guaranteed shared symbol for the second half below
-  const SemiLocalIndex none = SemiLocalIndex::from_lcs_pair(s, t);
+  const SemiLocalIndex none = SemiLocalIndex::from_lcs_pair(s, t, engine);
   EXPECT_EQ(none.size(), 0);
   EXPECT_EQ(none.substring_lcs(0, 29), 0);
   EXPECT_EQ(none.substring_lcs(4, 17), 0);
@@ -308,7 +313,7 @@ TEST(SemiLocalIndex, SubstringLcsSparseAndNoMatchAlphabets) {
   for (std::size_t i = 0; i < s2.size(); ++i) {
     s2[i] = i == 6 ? 5500 : -7 - static_cast<std::int64_t>(i);
   }
-  const SemiLocalIndex one = SemiLocalIndex::from_lcs_pair(s2, t);
+  const SemiLocalIndex one = SemiLocalIndex::from_lcs_pair(s2, t, engine);
   for (std::int64_t i = 0; i < 11; ++i) {
     for (std::int64_t j = i; j < 11; ++j) {
       EXPECT_EQ(one.substring_lcs(i, j), (i <= 6 && 6 <= j) ? 1 : 0);
@@ -317,10 +322,11 @@ TEST(SemiLocalIndex, SubstringLcsSparseAndNoMatchAlphabets) {
 }
 
 TEST(SemiLocalIndex, SubstringLcsDegenerateAndModeErrors) {
+  SeaweedEngine engine;
   Rng rng(31);
   const auto s = family_duplicate_heavy(12, rng);
   const auto t = family_duplicate_heavy(15, rng);
-  const SemiLocalIndex index = SemiLocalIndex::from_lcs_pair(s, t);
+  const SemiLocalIndex index = SemiLocalIndex::from_lcs_pair(s, t, engine);
   EXPECT_EQ(index.substring_lcs(5, 4), 0);    // empty substring
   EXPECT_EQ(index.substring_lcs(50, -3), 0);  // empty, out of range
   EXPECT_THROW(index.substring_lcs(-1, 4), std::logic_error);
@@ -330,7 +336,7 @@ TEST(SemiLocalIndex, SubstringLcsDegenerateAndModeErrors) {
   EXPECT_THROW(lis_index.substring_lcs(0, 3), std::logic_error);
 
   // from_lcs_kernel validates the row-start table shape.
-  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(s));
+  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(s), engine);
   EXPECT_THROW(SemiLocalIndex::from_lcs_kernel(kernel, {}), std::logic_error);
   EXPECT_THROW(SemiLocalIndex::from_lcs_kernel(kernel, {0, 3}),
                std::logic_error);
@@ -340,10 +346,11 @@ TEST(SemiLocalIndex, SubstringLcsDegenerateAndModeErrors) {
 }
 
 TEST(SemiLocalIndex, SubstringLcsBatchMatchesPointwise) {
+  SeaweedEngine engine;
   Rng rng(47);
   const auto s = family_duplicate_heavy(35, rng);
   const auto t = family_duplicate_heavy(28, rng);
-  const SemiLocalIndex index = SemiLocalIndex::from_lcs_pair(s, t);
+  const SemiLocalIndex index = SemiLocalIndex::from_lcs_pair(s, t, engine);
   Windows subs = fuzz_windows(35, 300, rng);
   const auto got = index.substring_lcs_batch(subs);
   ASSERT_EQ(got.size(), subs.size());
@@ -357,13 +364,14 @@ TEST(SemiLocalIndex, SubstringLcsBatchMatchesPointwise) {
 // ---------------------------------------------------------------------------
 
 TEST(SolverQuery, BuildAndQueryBitIdenticalAcrossBackends) {
+  SeaweedEngine engine;
   Rng rng(61);
   const auto seq = family_random(160, rng);
   const Windows windows = fuzz_windows(160, 400, rng);
   const auto want = lis::lis_window_batch(seq, windows);
   // An index over the depth-first reference kernel answers the same.
   EXPECT_EQ(SemiLocalIndex::from_kernel(
-                lis::lis_kernel_reference(lis::rank_reduce_strict(seq)))
+                lis::lis_kernel_reference(lis::rank_reduce_strict(seq), engine))
                 .window_lis_batch(windows),
             want);
 
@@ -383,6 +391,7 @@ TEST(SolverQuery, BuildAndQueryBitIdenticalAcrossBackends) {
 }
 
 TEST(SolverQuery, SubstringLcsAcrossBackends) {
+  SeaweedEngine engine;
   Rng rng(67);
   const auto s = family_duplicate_heavy(30, rng);
   const auto t = family_duplicate_heavy(24, rng);
@@ -401,7 +410,7 @@ TEST(SolverQuery, SubstringLcsAcrossBackends) {
   const lcs::HsOccurrences occ(t);
   EXPECT_EQ(SemiLocalIndex::from_lcs_kernel(
                 lis::lis_kernel_reference(
-                    lis::rank_reduce_strict(occ.match_sequence(s))),
+                    lis::rank_reduce_strict(occ.match_sequence(s)), engine),
                 occ.match_row_starts(s))
                 .substring_lcs_batch(subs),
             want);

@@ -1,8 +1,7 @@
-#include "monge/seaweed.h"
-
 #include <gtest/gtest.h>
 
 #include "monge/distribution.h"
+#include "monge/engine.h"
 #include "testing.h"
 #include "util/rng.h"
 
@@ -13,13 +12,14 @@ using testing::all_permutations;
 using testing::engine_multiply;
 
 TEST(Seaweed, ExhaustiveSmallPermutations) {
+  SeaweedEngine engine;
   for (int n = 1; n <= 5; ++n) {
     const auto perms = all_permutations(n);
     for (const auto& pa : perms) {
       for (const auto& pb : perms) {
         const Perm a = Perm::from_rows(pa, n);
         const Perm b = Perm::from_rows(pb, n);
-        ASSERT_EQ(seaweed_multiply(a, b), multiply_naive(a, b)) << "n=" << n;
+        ASSERT_EQ(engine.multiply(a, b), multiply_naive(a, b)) << "n=" << n;
       }
     }
   }
@@ -28,11 +28,12 @@ TEST(Seaweed, ExhaustiveSmallPermutations) {
 class SeaweedRandom : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(SeaweedRandom, MatchesNaiveOracle) {
+  SeaweedEngine engine;
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
   for (int trial = 0; trial < 6; ++trial) {
     const Perm a = Perm::random(GetParam(), rng);
     const Perm b = Perm::random(GetParam(), rng);
-    ASSERT_EQ(seaweed_multiply(a, b), multiply_naive(a, b));
+    ASSERT_EQ(engine.multiply(a, b), multiply_naive(a, b));
   }
 }
 
@@ -41,51 +42,56 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SeaweedRandom,
                                                          34, 55, 89, 100, 128));
 
 TEST(Seaweed, IdentityIsNeutral) {
+  SeaweedEngine engine;
   Rng rng(5);
   const Perm p = Perm::random(200, rng);
-  EXPECT_EQ(seaweed_multiply(Perm::identity(200), p), p);
-  EXPECT_EQ(seaweed_multiply(p, Perm::identity(200)), p);
+  EXPECT_EQ(engine.multiply(Perm::identity(200), p), p);
+  EXPECT_EQ(engine.multiply(p, Perm::identity(200)), p);
 }
 
 TEST(Seaweed, ReverseIsIdempotent) {
+  SeaweedEngine engine;
   for (std::int64_t n : {1, 2, 7, 64, 129}) {
-    EXPECT_EQ(seaweed_multiply(Perm::reverse(n), Perm::reverse(n)),
+    EXPECT_EQ(engine.multiply(Perm::reverse(n), Perm::reverse(n)),
               Perm::reverse(n));
   }
 }
 
 TEST(Seaweed, AssociativityOnRandomInputs) {
+  SeaweedEngine engine;
   Rng rng(71);
   for (int trial = 0; trial < 10; ++trial) {
     const std::int64_t n = 64;
     const Perm a = Perm::random(n, rng);
     const Perm b = Perm::random(n, rng);
     const Perm c = Perm::random(n, rng);
-    ASSERT_EQ(seaweed_multiply(seaweed_multiply(a, b), c),
-              seaweed_multiply(a, seaweed_multiply(b, c)));
+    ASSERT_EQ(engine.multiply(engine.multiply(a, b), c),
+              engine.multiply(a, engine.multiply(b, c)));
   }
 }
 
 TEST(Seaweed, ProductIsAlwaysFullPermutation) {
   // Lemma 2.1 closure under ⊡, checked at a size where the recursion is
   // several levels deep and sizes are odd at many levels.
+  SeaweedEngine engine;
   Rng rng(13);
   for (int trial = 0; trial < 5; ++trial) {
     const std::int64_t n = 997;  // prime: every split is uneven
     const Perm a = Perm::random(n, rng);
     const Perm b = Perm::random(n, rng);
-    EXPECT_TRUE(seaweed_multiply(a, b).is_full_permutation());
+    EXPECT_TRUE(engine.multiply(a, b).is_full_permutation());
   }
 }
 
 TEST(Seaweed, LargeAgreementSpotCheck) {
   // At n = 2048 the naive oracle is too slow; verify against the
   // distribution-matrix definition at sampled entries instead.
+  SeaweedEngine engine;
   Rng rng(3);
   const std::int64_t n = 2048;
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
-  const Perm c = seaweed_multiply(a, b);
+  const Perm c = engine.multiply(a, b);
   for (int trial = 0; trial < 50; ++trial) {
     const std::int64_t i = rng.next_in(0, n);
     const std::int64_t k = rng.next_in(0, n);
@@ -122,13 +128,15 @@ TEST(Seaweed, LargeAgreementSpotCheck) {
 }
 
 TEST(Seaweed, RejectsSubPermutations) {
+  SeaweedEngine engine;
   Perm p(3, 3);
   p.set(0, 0);
-  EXPECT_THROW(seaweed_multiply(p, Perm::identity(3)), std::logic_error);
+  EXPECT_THROW(engine.multiply(p, Perm::identity(3)), std::logic_error);
 }
 
 TEST(Seaweed, EmptyInput) {
-  EXPECT_EQ(engine_multiply(default_seaweed_engine(), {}, {}).size(), 0u);
+  SeaweedEngine engine;
+  EXPECT_EQ(engine_multiply(engine, {}, {}).size(), 0u);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "lcs/hunt_szymanski.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
 #include "monge/seaweed.h"
 #include "query/semilocal_index.h"
 #include "monge/subperm.h"
@@ -321,6 +322,7 @@ TEST(SolverService, OptionsValidatedAtConstruction) {
 TEST(SolverService, MatchesDirectSolverOnSequentialAndReference) {
   // Served answers equal the direct Sequential Solver's and the reference
   // oracles'.
+  SeaweedEngine engine;
   Rng rng(10);
   Solver direct;
   SolverService service({.workers = 2});
@@ -348,7 +350,7 @@ TEST(SolverService, MatchesDirectSolverOnSequentialAndReference) {
                                         mul.b.cols()));
   const Perm sub_served = fs.get().c;
   EXPECT_EQ(sub_served, direct.solve(sub).c);
-  EXPECT_EQ(sub_served, subunit_multiply_padded(sub.a, sub.b));
+  EXPECT_EQ(sub_served, subunit_multiply_padded(sub.a, sub.b, engine));
   const auto lis_direct = direct.solve(lis);
   const auto lis_served = fl.get();
   EXPECT_EQ(lis_served.lis, lis_direct.lis);
@@ -356,7 +358,8 @@ TEST(SolverService, MatchesDirectSolverOnSequentialAndReference) {
   EXPECT_EQ(lis_served.window_lis, lis_direct.window_lis);
   EXPECT_EQ(lis_served.lis, lis::lis_length_dp(lis.seq));
   EXPECT_EQ(lis_served.kernel,
-            lis::lis_kernel_reference(lis::rank_reduce_strict(lis.seq)));
+            lis::lis_kernel_reference(lis::rank_reduce_strict(lis.seq),
+                                      engine));
   EXPECT_EQ(lis_served.window_lis, lis::lis_window_batch(lis.seq, lis.windows));
   const auto lcs_direct = direct.solve(lcs);
   const auto lcs_served = fc.get();

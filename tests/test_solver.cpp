@@ -118,12 +118,13 @@ TEST(SolverOptions, ShapeValidationOnRequests) {
 }
 
 TEST(SolverMultiply, SequentialBitIdenticalToDirectCalls) {
+  SeaweedEngine engine;
   Rng rng(11);
   Solver solver;
   for (const std::int64_t n : {1, 2, 3, 5, 16, 33, 64, 257}) {
     const MultiplyRequest full{Perm::random(n, rng), Perm::random(n, rng)};
     const Perm full_c = solver.solve(full).c;
-    EXPECT_EQ(full_c, seaweed_multiply(full.a, full.b)) << n;
+    EXPECT_EQ(full_c, engine.multiply(full.a, full.b)) << n;
     // The textbook recursion is the oracle.
     EXPECT_EQ(full_c, Perm::from_rows(seaweed_multiply_reference_raw(
                                           full.a.row_to_col(),
@@ -136,9 +137,9 @@ TEST(SolverMultiply, SequentialBitIdenticalToDirectCalls) {
         Perm::random_sub(n, (3 * n) / 2, n / 2, rng),
         MultiplyRequest::Kind::kSubunit};
     const Perm sub_c = solver.solve(sub).c;
-    EXPECT_EQ(sub_c, subunit_multiply(sub.a, sub.b)) << n;
+    EXPECT_EQ(sub_c, subunit_multiply(sub.a, sub.b, engine)) << n;
     // The explicit §4.1 padding is the oracle.
-    EXPECT_EQ(sub_c, subunit_multiply_padded(sub.a, sub.b)) << n;
+    EXPECT_EQ(sub_c, subunit_multiply_padded(sub.a, sub.b, engine)) << n;
   }
 }
 
@@ -159,10 +160,11 @@ TEST(SolverMultiply, SingleSubunitProductIsOneBatchedEngineCall) {
       solver.solve(MultiplyRequest{a, b, MultiplyRequest::Kind::kSubunit});
   EXPECT_EQ(solver.engine().subunit_batch_calls(), solver_before + 1);
   EXPECT_EQ(result.c, direct);
-  EXPECT_EQ(direct, subunit_multiply_padded(a, b));
+  EXPECT_EQ(direct, subunit_multiply_padded(a, b, engine));
 }
 
 TEST(SolverMultiply, SequentialBatchBitIdenticalAndOneEngineCallPerKind) {
+  SeaweedEngine engine;
   Rng rng(13);
   Solver solver;
   std::vector<MultiplyRequest> reqs;
@@ -179,8 +181,8 @@ TEST(SolverMultiply, SequentialBatchBitIdenticalAndOneEngineCallPerKind) {
   ASSERT_EQ(results.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Perm direct = reqs[i].kind == MultiplyRequest::Kind::kFull
-                            ? seaweed_multiply(reqs[i].a, reqs[i].b)
-                            : subunit_multiply(reqs[i].a, reqs[i].b);
+                            ? engine.multiply(reqs[i].a, reqs[i].b)
+                            : subunit_multiply(reqs[i].a, reqs[i].b, engine);
     EXPECT_EQ(results[i].c, direct) << i;
   }
 }
@@ -268,6 +270,7 @@ TEST(SolverMultiply, MpcSimBatchBitIdenticalToDirectBatch) {
 }
 
 TEST(SolverLis, SequentialRoutesBitIdenticalToDirectCalls) {
+  SeaweedEngine engine;
   Rng rng(17);
   Solver solver;
   for (const std::int64_t n : {1, 2, 37, 192}) {
@@ -278,7 +281,8 @@ TEST(SolverLis, SequentialRoutesBitIdenticalToDirectCalls) {
 
     // Kernel route: rank reduction + the level-order kernel builder.
     const auto kres = solver.solve(LisRequest{.seq = seq, .want_kernel = true});
-    const Perm direct_kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+    const Perm direct_kernel =
+        lis::lis_kernel(lis::rank_reduce_strict(seq), engine);
     EXPECT_EQ(kres.kernel, direct_kernel);
     EXPECT_EQ(kres.lis, lis::lis_from_kernel(direct_kernel));
 
@@ -293,7 +297,7 @@ TEST(SolverLis, SequentialRoutesBitIdenticalToDirectCalls) {
     // per-window patience sorting.
     EXPECT_EQ(kres.lis, lis::lis_length_dp(seq));
     EXPECT_EQ(kres.kernel,
-              lis::lis_kernel_reference(lis::rank_reduce_strict(seq)));
+              lis::lis_kernel_reference(lis::rank_reduce_strict(seq), engine));
     EXPECT_EQ(wres.window_lis, lis::lis_window_batch(seq, windows));
   }
 }

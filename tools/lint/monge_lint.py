@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """monge-lint: project-specific invariant checks generic tools cannot express.
 
-Four rules, each enforcing a convention the codebase's correctness leans on:
+Five rules, each enforcing a convention the codebase's correctness leans on:
 
   L1  throw-taxonomy      Everything thrown in src/ is part of the
                           monge::Error taxonomy (util/error.h). The only
@@ -28,6 +28,14 @@ Four rules, each enforcing a convention the codebase's correctness leans on:
                           entry list is worked out from the definitions, so
                           a new or renamed member is checked without a
                           config change.
+  L5  no-thread-local     No thread-local storage (`thread_local`,
+                          `_Thread_local`, `__thread`) in the linted set,
+                          which is src/ by default. State kept per thread
+                          has no owner: it outlives every request, grows
+                          without bound and is shared by whatever runs on
+                          that thread. Library state belongs to an object
+                          the caller owns, such as a Solver, an engine or
+                          a cluster round.
 
 Suppression: append `// monge-lint: ignore(LN)` to the offending line. Each
 suppression should carry a rationale comment, mirroring the .clang-tidy
@@ -119,8 +127,8 @@ L4_EXEMPT = [L4_CLASS, "representation_stats", "arena_bytes_for", "arena_span"]
 L4_CHECKERS = ["check_size_limit", "check_subunit_shapes", "kSeaweedEngineMaxN"]
 
 HOT_ANNOTATION = "// monge-lint: hot"
-IGNORE_RE = re.compile(r"//\s*monge-lint:\s*ignore\((L[1-4])\)")
-EXPECT_RE = re.compile(r"//\s*monge-lint-expect:\s*(L[1-4])")
+IGNORE_RE = re.compile(r"//\s*monge-lint:\s*ignore\((L[1-5])\)")
+EXPECT_RE = re.compile(r"//\s*monge-lint-expect:\s*(L[1-5])")
 
 
 class Finding:
@@ -477,6 +485,32 @@ def check_l4(
 
 
 # ---------------------------------------------------------------------------
+# L5: no thread-local storage.
+# ---------------------------------------------------------------------------
+
+THREAD_LOCAL_RE = re.compile(r"\b(thread_local|_Thread_local|__thread)\b")
+
+
+def check_l5(sf: SourceFile) -> list[Finding]:
+    findings = []
+    for m in THREAD_LOCAL_RE.finditer(sf.stripped):
+        ln = line_of(sf.stripped, m.start())
+        if sf.is_suppressed(ln, "L5"):
+            continue
+        findings.append(
+            Finding(
+                sf.path,
+                ln,
+                "L5",
+                f"`{m.group(1)}` storage has no owner; keep the state in an "
+                "object the caller owns (a Solver, an engine, a cluster "
+                "round) instead",
+            )
+        )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driving.
 # ---------------------------------------------------------------------------
 
@@ -509,6 +543,7 @@ def lint_file(path: Path, args: argparse.Namespace) -> list[Finding]:
     findings += check_l1(sf)
     findings += check_l2(sf)
     findings += check_l3(sf)
+    findings += check_l5(sf)
     if str(path).replace("\\", "/").endswith(L4_FILE_SUFFIX):
         findings += check_l4(sf, L4_CLASS, L4_EXEMPT, L4_CHECKERS)
     return findings
@@ -540,6 +575,7 @@ def self_test(fixture_dir: Path) -> int:
         findings += check_l1(sf)
         findings += check_l2(sf)
         findings += check_l3(sf)
+        findings += check_l5(sf)
         # Fixture L4 config: a fake `Engine` class with its own exempt list,
         # declared in the fixture itself via a config comment.
         cfg = re.search(
@@ -564,7 +600,7 @@ def self_test(fixture_dir: Path) -> int:
             for f in findings:
                 print(f"    {f}")
     # Every rule must demonstrably fire on at least one negative fixture.
-    missing = {"L1", "L2", "L3", "L4"} - rules_fired
+    missing = {"L1", "L2", "L3", "L4", "L5"} - rules_fired
     if missing:
         failures += 1
         print(f"monge-lint: self-test FAIL: rules never fired: {sorted(missing)}")
