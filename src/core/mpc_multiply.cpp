@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "monge/engine.h"
 #include "monge/multiway.h"
@@ -543,10 +544,10 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
       static_cast<std::size_t>(m)),
       b_out(static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
-    for (const SubPoint& p : a_pts.local(i)) {
+    for (const SubPoint& p : std::as_const(a_pts).local(i)) {
       a_out[static_cast<std::size_t>(i)].push_back({leaf_machine(p.sub), p});
     }
-    for (const SubPoint& p : b_pts.local(i)) {
+    for (const SubPoint& p : std::as_const(b_pts).local(i)) {
       b_out[static_cast<std::size_t>(i)].push_back({leaf_machine(p.sub), p});
     }
   }
@@ -659,7 +660,7 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
         static_cast<std::size_t>(m));
     for (std::int64_t i = 0; i < m; ++i) {
       const std::int64_t lo = c_pts.layout().lo(i);
-      const auto& loc = c_pts.local(i);
+      const auto& loc = std::as_const(c_pts).local(i);
       for (std::size_t k = 0; k < loc.size(); ++k) {
         const std::int64_t map_idx =
             child.offset[static_cast<std::size_t>(loc[k].sub)] + loc[k].col;
@@ -692,7 +693,7 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
         static_cast<std::size_t>(m));
     for (std::int64_t i = 0; i < m; ++i) {
       const std::int64_t lo = c_pts.layout().lo(i);
-      const auto& loc = c_pts.local(i);
+      const auto& loc = std::as_const(c_pts).local(i);
       const auto& rm = row_map.local(i);
       for (const ColAns& an : answers[static_cast<std::size_t>(i)]) {
         const auto k = static_cast<std::size_t>(an.back_idx - lo);
@@ -845,7 +846,7 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
     PerMachine<std::vector<std::pair<std::int64_t, SubPoint>>> asm_out(
         static_cast<std::size_t>(m));
     for (std::int64_t i = 0; i < m; ++i) {
-      for (const ColoredPt& p : u_pts.local(i)) {
+      for (const ColoredPt& p : std::as_const(u_pts).local(i)) {
         const auto& dir = box_dir[static_cast<std::size_t>(p.sub)];
         const std::int64_t bi = p.row / g, bj = p.col / g;
         const std::int64_t own_state = dir.at({bi, bj});

@@ -52,8 +52,8 @@ template <typename Registry>
 auto find_registration(Registry& registry, std::int64_t id) {
   const auto it = std::lower_bound(
       registry.begin(), registry.end(), id,
-      [](const auto& entry, std::int64_t key) { return entry.first < key; });
-  return it != registry.end() && it->first == id ? it : registry.end();
+      [](const auto& entry, std::int64_t key) { return entry.id < key; });
+  return it != registry.end() && it->id == id ? it : registry.end();
 }
 
 }  // namespace
@@ -62,6 +62,33 @@ std::int64_t MachineCtx::machines() const { return cluster_->machines(); }
 
 std::span<const Message> MachineCtx::inbox() const {
   return cluster_->mailboxes_[static_cast<std::size_t>(id_)];
+}
+
+std::vector<Word> MachineCtx::take_buffer() {
+  if (spares_.empty()) return {};
+  std::vector<Word> buffer = std::move(spares_.back());
+  spares_.pop_back();
+  spare_words_ -= static_cast<std::int64_t>(buffer.capacity());
+  buffer.clear();
+  return buffer;
+}
+
+void MachineCtx::give_back(std::vector<Word> buffer) {
+  // A machine keeps at most s/16 words of spares: room for its small
+  // messages (sketches, splitters, prefix sums) to reuse their buffers,
+  // while a larger one is freed, so spares add little memory.
+  const auto words = static_cast<std::int64_t>(buffer.capacity());
+  if (words == 0 || spare_words_ + words > cluster_->space_words() / 16) {
+    return;
+  }
+  spare_words_ += words;
+  spares_.push_back(std::move(buffer));
+}
+
+void MachineCtx::clear_outbox() {
+  for (Message& msg : outbox_) give_back(std::move(msg.payload));
+  outbox_.clear();
+  out_words_ = 0;
 }
 
 void MachineCtx::send(std::int64_t to, std::int64_t tag,
@@ -88,6 +115,7 @@ Cluster::Cluster(MpcConfig cfg) : cfg_(std::move(cfg)), pool_(cfg_.threads) {
   errors_.resize(m);
   incoming_words_.resize(m);
   resident_words_.resize(m);
+  marked_.resize(m);
 }
 
 void Cluster::check_space(std::int64_t machine, std::int64_t words,
@@ -98,25 +126,63 @@ void Cluster::check_space(std::int64_t machine, std::int64_t words,
 }
 
 std::int64_t Cluster::register_resident(ResidentHooks hooks) {
-  MONGE_CHECK_MSG(hooks.add_words != nullptr,
-                  "ResidentHooks.add_words is mandatory");
-  const std::int64_t id = next_resident_id_++;
-  residents_.emplace_back(id, std::move(hooks));
-  return id;
+  MONGE_CHECK_MSG(hooks.words != nullptr, "ResidentHooks.words is mandatory");
+  Resident r;
+  r.id = next_resident_id_++;
+  r.slots.resize(static_cast<std::size_t>(machines()));
+  for (std::int64_t i = 0; i < machines(); ++i) {
+    const std::int64_t w = hooks.words(i);
+    r.slots[static_cast<std::size_t>(i)].words = w;
+    resident_words_[static_cast<std::size_t>(i)] += w;
+  }
+  r.hooks = std::move(hooks);
+  residents_.push_back(std::move(r));
+  return residents_.back().id;
 }
 
 void Cluster::unregister_resident(std::int64_t id) {
   const auto it = find_registration(residents_, id);
-  if (it != residents_.end()) residents_.erase(it);
+  if (it == residents_.end()) return;
+  // The totals hold what the audit last read, whatever the structure holds
+  // now; ids still queued in marked_ are skipped once they are gone.
+  for (std::size_t i = 0; i < it->slots.size(); ++i) {
+    resident_words_[i] -= it->slots[i].words;
+  }
+  residents_.erase(it);
 }
 
-void Cluster::add_resident_words(std::span<std::int64_t> words) const {
-  for (const auto& [id, hooks] : residents_) hooks.add_words(words);
+void Cluster::mark_resident(std::int64_t id, std::int64_t machine) {
+  const auto it = find_registration(residents_, id);
+  MONGE_CHECK(it != residents_.end());
+  Resident::Slot& slot = it->slots[static_cast<std::size_t>(machine)];
+  if (slot.marked) return;
+  slot.marked = true;
+  marked_[static_cast<std::size_t>(machine)].push_back(id);
+}
+
+// monge-lint: hot
+void Cluster::flush_resident_audit() {
+  for (std::size_t i = 0; i < marked_.size(); ++i) {
+    for (const std::int64_t id : marked_[i]) {
+      const auto it = find_registration(residents_, id);
+      if (it == residents_.end()) continue;  // unregistered since marked
+      Resident::Slot& slot = it->slots[i];
+      const std::int64_t now = it->hooks.words(static_cast<std::int64_t>(i));
+      resident_words_[i] += now - slot.words;
+      slot.words = now;
+      slot.marked = false;
+    }
+    marked_[i].clear();
+  }
 }
 
 std::vector<std::int64_t> Cluster::resident_words() const {
   std::vector<std::int64_t> words(static_cast<std::size_t>(machines()), 0);
-  add_resident_words(words);
+  for (const Resident& r : residents_) {
+    for (std::int64_t i = 0; i < machines(); ++i) {
+      words[static_cast<std::size_t>(i)] += r.hooks.words(i);
+    }
+  }
   return words;
 }
 
@@ -132,15 +198,15 @@ void Cluster::take_checkpoint(std::int64_t round) {
       words += static_cast<std::int64_t>(msg.payload.size()) + kEnvelopeWords;
     }
   }
-  for (const auto& [id, hooks] : residents_) {
-    if (!hooks.checkpoint || !hooks.restore) {
+  for (const Resident& r : residents_) {
+    if (!r.hooks.checkpoint || !r.hooks.restore) {
       snapshot_.complete = false;
       continue;
     }
-    auto& blobs = snapshot_.residents[id];
+    auto& blobs = snapshot_.residents[r.id];
     blobs.resize(static_cast<std::size_t>(m));
     for (std::int64_t i = 0; i < m; ++i) {
-      blobs[static_cast<std::size_t>(i)] = hooks.checkpoint(i);
+      blobs[static_cast<std::size_t>(i)] = r.hooks.checkpoint(i);
       words +=
           static_cast<std::int64_t>(blobs[static_cast<std::size_t>(i)].size());
     }
@@ -157,11 +223,22 @@ std::int64_t Cluster::restore_checkpoint() {
     if (it == residents_.end()) continue;  // destroyed since the snapshot
     for (std::int64_t i = 0; i < machines(); ++i) {
       const auto& blob = blobs[static_cast<std::size_t>(i)];
-      it->second.restore(i, blob);
+      it->hooks.restore(i, blob);
+      mark_resident(id, i);
       words += static_cast<std::int64_t>(blob.size());
     }
   }
   return words;
+}
+
+void Cluster::recycle_inboxes() {
+  for (auto& box : mailboxes_) {
+    for (Message& msg : box) {
+      ctxs_[static_cast<std::size_t>(msg.from)].give_back(
+          std::move(msg.payload));
+    }
+    box.clear();
+  }
 }
 
 std::vector<std::int64_t> Cluster::crashed_machines(
@@ -218,7 +295,7 @@ void Cluster::inject_message_faults(const Message& msg, std::int64_t round,
   }
 }
 
-void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
+void Cluster::run_round_on(const std::function<void(MachineCtx&)>& fn) {
   const std::int64_t m = machines();
   const std::int64_t round = stats_.rounds;
   const FaultPlan& fp = cfg_.faults;
@@ -291,11 +368,12 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
     round_words += out;
   }
 
-  // Route: clear old inboxes, deliver new messages sorted by sender. With
-  // chaos on, drop/duplicate/corrupt events are injected per message and
-  // masked by the simulated reliable transport — the delivered payloads
-  // are always pristine; only the recovery accounts move.
-  for (auto& box : mailboxes_) box.clear();
+  // Route: recycle the consumed inboxes into their senders' spares, then
+  // deliver the new messages sorted by sender. With chaos on,
+  // drop/duplicate/corrupt events are injected per message and masked by
+  // the simulated reliable transport — the delivered payloads are always
+  // pristine; only the recovery accounts move.
+  recycle_inboxes();
   std::fill(incoming_words_.begin(), incoming_words_.end(), 0);
   bool retransmitted = false;
   for (MachineCtx& ctx : ctxs_) {
@@ -327,9 +405,11 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
   // Space audit after delivery: every machine's inbox, resident data and
   // footprint (outbox + inbox + resident). The per-part checks run first,
   // over all machines, so a part over s is reported as that part; only then
-  // is the sum bounded.
-  std::fill(resident_words_.begin(), resident_words_.end(), 0);
-  add_resident_words(resident_words_);
+  // is the sum bounded. The resident totals catch up by re-reading only
+  // the pairs marked since the last audit; with MONGE_DCHECK on they are
+  // checked against a full walk every round.
+  flush_resident_audit();
+  MONGE_DCHECK(resident_words_ == resident_words());
   const auto footprint = [&](std::size_t i) {
     return ctxs_[i].out_words_ + incoming_words_[i] + resident_words_[i];
   };

@@ -26,12 +26,22 @@
 //     ClusterStats::recovery and NEVER in the paper's rounds /
 //     total_comm_words, so the complexity measurements stay honest.
 //
-// A round's fixed cost is kept to what its machines do: the per-machine
-// contexts (with their outboxes), error slots and word tallies are Cluster
-// members reused from round to round, each machine tallies its outgoing
-// words as it sends, and the resident audit makes one ResidentHooks call
-// per registered structure per round, which adds that structure's words
-// for every machine at once.
+// A round costs what its machines compute, plus a barrier whose work grows
+// with the traffic and the changed shards, not with the registry:
+//   * the per-machine contexts (with their outboxes), error slots and word
+//     tallies are Cluster members reused from round to round, and each
+//     machine tallies its outgoing words as it sends;
+//   * at the barrier, a consumed inbox payload goes back to its sender's
+//     context as a spare buffer that the sender's next sends pack into
+//     (MachineCtx::take_buffer). A machine keeps at most s/16 words of
+//     spares, so small messages (sketches, splitters, prefix sums) reuse
+//     their buffers and a larger payload is freed;
+//   * the resident audit keeps running per-machine totals. A structure
+//     marks (structure, machine) when that machine's part may change
+//     (mark_resident; DistVector does it when it hands out a shard
+//     mutably), and the audit re-reads only the marked pairs — exact, in
+//     strict and lenient mode, and checked against a full walk of every
+//     registered structure in builds with MONGE_DCHECK on.
 //
 // The recovery contract for round closures: a crash re-executes the SAME
 // closure against the restored snapshot, so closures must be restartable —
@@ -92,6 +102,16 @@ struct Message {
   void decode_append(std::vector<T>& out) const {
     util::unpack_words_append<T>(payload, out);
   }
+
+  /// Decodes the payload in place over out[offset, ...) and returns the
+  /// item count; CodecError (before anything is written) if the payload
+  /// is not a whole number of T strides or does not fit there.
+  template <typename T>
+  std::size_t decode_into(std::vector<T>& out, std::size_t offset) const {
+    MONGE_CHECK(offset <= out.size());
+    return util::unpack_words_into<T>(payload,
+                                      std::span<T>(out).subspan(offset));
+  }
 };
 
 /// Recovery-side statistics, kept strictly apart from the paper's
@@ -144,16 +164,17 @@ struct ClusterStats {
 };
 
 /// Hooks a resident data structure (DistVector) registers with the
-/// cluster. `add_words` feeds the per-round space audit and is mandatory;
+/// cluster. `words` feeds the space audit and is mandatory;
 /// `checkpoint`/`restore` let the cluster snapshot the structure's
 /// per-machine state and roll it back for crash recovery. Structures
 /// registered without the recovery pair (audit-only) still audit, but a
 /// crash while one is live is unrecoverable (FaultError).
 struct ResidentHooks {
-  /// Adds the words the structure currently keeps on machine i to
-  /// words[i], for every machine (words.size() == machines()). The audit
-  /// calls it once per round.
-  std::function<void(std::span<std::int64_t> words)> add_words;
+  /// The words the structure currently keeps on `machine`. The audit reads
+  /// every machine once at registration, then only the machines marked
+  /// since its last read (Cluster::mark_resident), so a structure whose
+  /// words change must mark the machine before the round ends.
+  std::function<std::int64_t(std::int64_t machine)> words;
   /// Serializes the machine's state as a flat word blob.
   std::function<std::vector<Word>(std::int64_t machine)> checkpoint;
   /// Inverse of checkpoint: reinstates a previously serialized blob.
@@ -172,26 +193,38 @@ class MachineCtx {
 
   void send(std::int64_t to, std::int64_t tag, std::vector<Word> payload);
 
-  /// Typed send: packs an array of T into words (util/codec.h).
+  /// An empty payload buffer for this machine's next send: one that an
+  /// earlier message of this machine came back in after its receiver
+  /// consumed it (it keeps its capacity), or a new one.
+  std::vector<Word> take_buffer();
+  /// Hands a buffer this machine no longer needs to its spares.
+  void give_back(std::vector<Word> buffer);
+
+  /// Typed send: packs an array of T into words (util/codec.h), in a
+  /// buffer from take_buffer().
   template <typename T>
   void send_items(std::int64_t to, std::int64_t tag, std::span<const T> items) {
-    send(to, tag, util::pack_words(items));
+    std::vector<Word> payload = take_buffer();
+    util::pack_words_into(items, payload);
+    send(to, tag, std::move(payload));
   }
 
  private:
   friend class Cluster;
   MachineCtx(Cluster* cluster, std::int64_t id) : cluster_(cluster), id_(id) {}
-  /// Drops the outbox of the previous (or an aborted) execution.
-  void clear_outbox() {
-    outbox_.clear();
-    out_words_ = 0;
-  }
+  /// Drops the outbox of the previous (or an aborted) execution; the
+  /// payloads an aborted execution left there become spares.
+  void clear_outbox();
 
   Cluster* cluster_;
   std::int64_t id_;
   std::vector<Message> outbox_;
   /// Payload + envelope words in outbox_, tallied by send().
   std::int64_t out_words_ = 0;
+  /// Payload buffers to send in (at most s/16 words in all), and their
+  /// total capacity.
+  std::vector<std::vector<Word>> spares_;
+  std::int64_t spare_words_ = 0;
 };
 
 class Cluster {
@@ -215,21 +248,31 @@ class Cluster {
   /// With faults enabled, the round is checkpointed, injected with the
   /// plan's events and recovered as described in the header comment; an
   /// unrecoverable crash throws FaultError. Errors thrown by fn surface
-  /// deterministically: the lowest-id machine's exception wins.
-  void run_round(const std::function<void(MachineCtx&)>& fn);
+  /// deterministically: the lowest-id machine's exception wins. fn is
+  /// called by reference, so a round costs no copy of its closure.
+  template <typename Fn>
+  void run_round(Fn&& fn) {
+    run_round_on([&fn](MachineCtx& mc) { fn(mc); });
+  }
 
   /// Resets round/communication statistics, including recovery counters
   /// (not mailboxes).
   void reset_stats() { stats_ = ClusterStats{}; }
 
-  /// Registers a resident structure's hook set (used by DistVector);
-  /// returns an id for unregistering. Leave checkpoint/restore empty for an
-  /// audit-only registration (no crash recovery for this structure).
+  /// Registers a resident structure's hook set (used by DistVector) and
+  /// reads its words on every machine; returns an id for unregistering.
+  /// Leave checkpoint/restore empty for an audit-only registration (no
+  /// crash recovery for this structure). Not callable inside a round.
   std::int64_t register_resident(ResidentHooks hooks);
   void unregister_resident(std::int64_t id);
+  /// Marks structure `id` on `machine` for the audit to re-read: call it
+  /// whenever that machine's words may change, before the round (or host
+  /// step) ends. Inside a round, machine i's closure marks only machine i.
+  void mark_resident(std::int64_t id, std::int64_t machine);
 
-  /// Current resident words per machine, summed over the registered
-  /// structures through the same hooks the round audit calls.
+  /// Current resident words per machine: a full walk that asks every
+  /// registered structure for every machine's words (the incremental
+  /// audit's reference).
   std::vector<std::int64_t> resident_words() const;
 
  private:
@@ -241,14 +284,30 @@ class Cluster {
     std::vector<std::vector<Message>> mailboxes;
     std::map<std::int64_t, std::vector<std::vector<Word>>> residents;
   };
+  /// One registered structure and the audit's view of it per machine.
+  struct Resident {
+    struct Slot {
+      std::int64_t words = 0;  ///< words the audit last read
+      bool marked = false;     ///< queued in marked_[machine]
+    };
+    std::int64_t id = 0;
+    ResidentHooks hooks;
+    std::vector<Slot> slots;  ///< one per machine
+  };
 
+  /// run_round's body; `fn` wraps the caller's closure by reference, which
+  /// std::function stores without allocating.
+  void run_round_on(const std::function<void(MachineCtx&)>& fn);
   void check_space(std::int64_t machine, std::int64_t words,
                    const char* kind) const;
-  /// Adds every registered structure's words per machine into `words`.
-  void add_resident_words(std::span<std::int64_t> words) const;
+  /// Re-reads the marked (structure, machine) pairs into resident_words_.
+  void flush_resident_audit();
   void take_checkpoint(std::int64_t round);
   /// Rolls mailboxes and resident state back; returns the words restored.
   std::int64_t restore_checkpoint();
+  /// Moves the consumed inbox payloads to their senders' spares and
+  /// clears the inboxes.
+  void recycle_inboxes();
   /// Machines the plan crashes at (round, attempt), ascending ids.
   std::vector<std::int64_t> crashed_machines(std::int64_t round,
                                              std::int64_t attempt) const;
@@ -263,17 +322,22 @@ class Cluster {
   ClusterStats stats_;
   std::vector<std::vector<Message>> mailboxes_;  // inbox per machine
   /// Registered structures by ascending id (ids are handed out in order).
-  std::vector<std::pair<std::int64_t, ResidentHooks>> residents_;
+  std::vector<Resident> residents_;
   std::int64_t next_resident_id_ = 0;
   Snapshot snapshot_;
 
   // Per-round state, sized once and reused by every round. Inside the
-  // parallel phase machine i's context and error slot are touched only by
-  // the task running machine i; the tallies only at the round barrier.
+  // parallel phase machine i's context, error slot and marked list are
+  // touched only by the task running machine i; the tallies only at the
+  // round barrier.
   std::vector<MachineCtx> ctxs_;
   std::vector<std::exception_ptr> errors_;
   std::vector<std::int64_t> incoming_words_;
+  /// Running resident totals per machine: the sum of every registered
+  /// structure's last-read words.
   std::vector<std::int64_t> resident_words_;
+  /// Per machine, the ids of the structures marked since the last audit.
+  std::vector<std::vector<std::int64_t>> marked_;
 
   friend class MachineCtx;
 };

@@ -4,23 +4,23 @@ namespace monge::mpc {
 
 namespace detail {
 
-std::vector<SketchItem> compress_sketch(std::vector<SketchItem> items,
-                                        std::int64_t cap) {
-  if (static_cast<std::int64_t>(items.size()) <= cap) return items;
+std::size_t compress_sketch(std::span<SketchItem> items, std::int64_t cap) {
+  if (static_cast<std::int64_t>(items.size()) <= cap) return items.size();
   std::int64_t w_total = 0;
   for (const auto& it : items) w_total += it.weight;
   const std::int64_t step = std::max<std::int64_t>(1, ceil_div(w_total, cap));
-  std::vector<SketchItem> out;
-  out.reserve(static_cast<std::size_t>(cap) + 1);
+  // In place: every item written consumes at least one item read.
+  const std::int64_t last_key = items.back().key;
+  std::size_t out = 0;
   std::int64_t carry = 0;
   for (const auto& it : items) {
     carry += it.weight;
     if (carry >= step) {
-      out.push_back(SketchItem{it.key, carry});
+      items[out++] = SketchItem{it.key, carry};
       carry = 0;
     }
   }
-  if (carry > 0) out.push_back(SketchItem{items.back().key, carry});
+  if (carry > 0) items[out++] = SketchItem{last_key, carry};
   return out;
 }
 
@@ -33,16 +33,22 @@ namespace {
 // [lo+1, hi). Unlike a heap-numbered tree, the preorder of this tree equals
 // machine-id order, which is what prefix sums need.
 struct RangeTree {
-  std::vector<std::int64_t> parent;             // parent machine, -1 for root
-  std::vector<int> depth;                       // 0 for root
-  std::vector<std::vector<std::int64_t>> kids;  // child machines, in order
+  struct Node {
+    std::int64_t parent = -1;  ///< parent machine, -1 for the root
+    int depth = 0;             ///< 0 for the root
+    std::int64_t slot = 0;     ///< index among the parent's children
+    /// This node's children, in order: kids[first_kid, first_kid + kid_count).
+    std::int64_t first_kid = 0;
+    std::int64_t kid_count = 0;
+  };
+  std::vector<Node> node;          // one per machine
+  std::vector<std::int64_t> kids;  // each node's children, contiguous
   int max_depth = 0;
 
   RangeTree(std::int64_t m, std::int64_t f) {
-    parent.assign(static_cast<std::size_t>(m), -1);
-    depth.assign(static_cast<std::size_t>(m), 0);
-    kids.resize(static_cast<std::size_t>(m));
+    node.resize(static_cast<std::size_t>(m));
     if (m == 0) return;
+    kids.reserve(static_cast<std::size_t>(m - 1));
     // DFS from the root range.
     std::vector<std::pair<std::int64_t, std::int64_t>> stack{{0, m}};
     while (!stack.empty()) {
@@ -51,16 +57,19 @@ struct RangeTree {
       const std::int64_t start = lo + 1;
       const std::int64_t len = hi - start;
       if (len <= 0) continue;
+      Node& p = node[static_cast<std::size_t>(lo)];
+      p.first_kid = static_cast<std::int64_t>(kids.size());
       const std::int64_t parts = std::min<std::int64_t>(f, len);
       for (std::int64_t k = 0; k < parts; ++k) {
         const std::int64_t a = start + k * len / parts;
         const std::int64_t b = start + (k + 1) * len / parts;
         if (b <= a) continue;
-        parent[static_cast<std::size_t>(a)] = lo;
-        depth[static_cast<std::size_t>(a)] =
-            depth[static_cast<std::size_t>(lo)] + 1;
-        max_depth = std::max(max_depth, depth[static_cast<std::size_t>(a)]);
-        kids[static_cast<std::size_t>(lo)].push_back(a);
+        Node& child = node[static_cast<std::size_t>(a)];
+        child.parent = lo;
+        child.depth = p.depth + 1;
+        child.slot = p.kid_count++;
+        max_depth = std::max(max_depth, child.depth);
+        kids.push_back(a);
         stack.push_back({a, b});
       }
     }
@@ -74,30 +83,30 @@ PrefixResult exclusive_prefix(Cluster& c,
   const std::int64_t m = c.machines();
   MONGE_CHECK(static_cast<std::int64_t>(val.size()) == m);
   const RangeTree tree(m, prefix_fanout(c));
+  const auto node = [&](std::int64_t i) -> const RangeTree::Node& {
+    return tree.node[static_cast<std::size_t>(i)];
+  };
 
-  // subtree[i] accumulates the sum of machine i's tree subtree; child_sum
-  // records each child's subtree sum at the parent for the down-sweep.
+  // subtree[i] accumulates the sum of machine i's tree subtree; child_sum,
+  // aligned with tree.kids, records each child's subtree sum at its parent
+  // for the down-sweep (machine i owns its children's entries).
   PerMachine<std::int64_t> subtree(val.begin(), val.end());
-  PerMachine<std::vector<std::int64_t>> child_sum(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    child_sum[static_cast<std::size_t>(i)].assign(
-        tree.kids[static_cast<std::size_t>(i)].size(), 0);
-  }
+  std::vector<std::int64_t> child_sum(tree.kids.size(), 0);
 
   const auto absorb_up = [&](MachineCtx& mc) {
     const std::int64_t i = mc.id();
+    const RangeTree::Node& me = node(i);
     for (const Message& msg : mc.inbox()) {
       if (msg.tag < tags::kUp) continue;
       const std::int64_t k = msg.tag - tags::kUp;  // child slot
-      child_sum[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] =
-          msg.payload[0];
+      child_sum[static_cast<std::size_t>(me.first_kid + k)] = msg.payload[0];
     }
     // Restartable: the subtree sum is recomputed from the overwrite-once
     // child slots (all of a node's children report in the same round), so
     // a re-executed round never double-absorbs a child.
     std::int64_t sum = val[static_cast<std::size_t>(i)];
-    for (const std::int64_t cs : child_sum[static_cast<std::size_t>(i)]) {
-      sum += cs;
+    for (std::int64_t k = 0; k < me.kid_count; ++k) {
+      sum += child_sum[static_cast<std::size_t>(me.first_kid + k)];
     }
     subtree[static_cast<std::size_t>(i)] = sum;
   };
@@ -107,12 +116,10 @@ PrefixResult exclusive_prefix(Cluster& c,
     c.run_round([&](MachineCtx& mc) {
       const std::int64_t i = mc.id();
       absorb_up(mc);
-      if (tree.depth[static_cast<std::size_t>(i)] == hop) {
-        const std::int64_t p = tree.parent[static_cast<std::size_t>(i)];
-        const auto& siblings = tree.kids[static_cast<std::size_t>(p)];
-        const std::int64_t slot =
-            std::find(siblings.begin(), siblings.end(), i) - siblings.begin();
-        mc.send(p, tags::kUp + slot, {subtree[static_cast<std::size_t>(i)]});
+      const RangeTree::Node& me = node(i);
+      if (me.depth == hop) {
+        const std::int64_t up[] = {subtree[static_cast<std::size_t>(i)]};
+        mc.send_items<std::int64_t>(me.parent, tags::kUp + me.slot, up);
       }
     });
   }
@@ -133,18 +140,20 @@ PrefixResult exclusive_prefix(Cluster& c,
   for (int hop = 0; hop <= tree.max_depth; ++hop) {
     c.run_round([&](MachineCtx& mc) {
       const std::int64_t i = mc.id();
+      const auto k = static_cast<std::size_t>(i);
       for (const Message& msg : mc.inbox()) {
         if (msg.tag != tags::kDown) continue;
-        prefix[static_cast<std::size_t>(i)] = msg.payload[0];
-        total[static_cast<std::size_t>(i)] = msg.payload[1];
+        prefix[k] = msg.payload[0];
+        total[k] = msg.payload[1];
       }
-      if (tree.depth[static_cast<std::size_t>(i)] != hop) return;
-      std::int64_t acc = prefix[static_cast<std::size_t>(i)] +
-                         val[static_cast<std::size_t>(i)];
-      const auto& kids = tree.kids[static_cast<std::size_t>(i)];
-      for (std::size_t k = 0; k < kids.size(); ++k) {
-        mc.send(kids[k], tags::kDown, {acc, total[static_cast<std::size_t>(i)]});
-        acc += child_sum[static_cast<std::size_t>(i)][k];
+      const RangeTree::Node& me = node(i);
+      if (me.depth != hop) return;
+      std::int64_t acc = prefix[k] + val[k];
+      for (std::int64_t j = 0; j < me.kid_count; ++j) {
+        const auto at = static_cast<std::size_t>(me.first_kid + j);
+        const std::int64_t down[] = {acc, total[k]};
+        mc.send_items<std::int64_t>(tree.kids[at], tags::kDown, down);
+        acc += child_sum[at];
       }
     });
   }
@@ -190,7 +199,7 @@ DistVector<std::int64_t> rank_search(Cluster& c,
   // 3. Prefix-count the value indicator.
   PerMachine<std::int64_t> local_values(static_cast<std::size_t>(m), 0);
   for (std::int64_t i = 0; i < m; ++i) {
-    for (const Tagged& t : combined.local(i)) {
+    for (const Tagged& t : std::as_const(combined).local(i)) {
       local_values[static_cast<std::size_t>(i)] += (t.id < 0);
     }
   }
@@ -201,8 +210,9 @@ DistVector<std::int64_t> rank_search(Cluster& c,
       static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t rank = pr.prefix[static_cast<std::size_t>(i)];
-    answers[static_cast<std::size_t>(i)].reserve(combined.local(i).size());
-    for (const Tagged& t : combined.local(i)) {
+    const auto& loc = std::as_const(combined).local(i);
+    answers[static_cast<std::size_t>(i)].reserve(loc.size());
+    for (const Tagged& t : loc) {
       if (t.id < 0) {
         ++rank;
       } else {

@@ -22,15 +22,19 @@
 //                      scalability experiment).
 //
 // Every round closure here follows the cluster's restartable-round
-// contract (mpc/cluster.h): host-side accumulators are cleared at round
-// entry or double-buffered, so crash recovery can roll registered state
-// back and re-execute a round without double-absorbing anything.
+// contract (mpc/cluster.h): host-side scratch is overwritten from the
+// round's own inputs (registered shards, the inbox, read-only host state),
+// so crash recovery can roll registered state back and re-execute a round
+// without double-absorbing anything. Payloads are packed into the sending
+// machine's spare buffers (MachineCtx::take_buffer).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "mpc/cluster.h"
@@ -90,6 +94,21 @@ inline constexpr std::int64_t kItem = 8;
 inline constexpr std::int64_t kUp = 1 << 20;
 }  // namespace tags
 
+namespace detail {
+
+/// How many T items the inbox's messages with tag `tag` carry, so a
+/// receiver can size its array once before decoding them.
+template <typename T>
+std::size_t inbox_items(const MachineCtx& mc, std::int64_t tag) {
+  std::size_t words = 0;
+  for (const Message& msg : mc.inbox()) {
+    if (msg.tag == tag) words += msg.payload.size();
+  }
+  return words / util::kWordsPerItem<T>;
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------------------
 // Prefix sums over one value per machine (Lemma 2.4).
 // ---------------------------------------------------------------------------
@@ -118,36 +137,48 @@ PerMachine<std::vector<T>> route_items(
   c.run_round([&](MachineCtx& mc) {
     const auto& mine = out[static_cast<std::size_t>(mc.id())];
     if (mine.empty()) return;
-    // Group by destination without sorting: count the items per
-    // destination, then pack each item straight into its destination's
-    // payload. Items keep their send order within a destination, and the
-    // messages go out in destination order.
+    // Group by destination without sorting: a counting pass gives each
+    // destination a slice of one staging buffer, a second pass packs every
+    // item into its slice (items keep their send order within a
+    // destination), and each slice goes out as one message, in destination
+    // order. Counters, staging and payloads are all spare buffers.
     constexpr std::size_t wpe = util::kWordsPerItem<T>;
-    std::vector<std::size_t> count(static_cast<std::size_t>(m), 0);
+    std::vector<Word> cursor = mc.take_buffer();
+    cursor.assign(static_cast<std::size_t>(m) + 1, 0);
     for (const auto& [to, item] : mine) {
       MONGE_CHECK_MSG(to >= 0 && to < m, "send to invalid machine " << to);
-      ++count[static_cast<std::size_t>(to)];
+      ++cursor[static_cast<std::size_t>(to) + 1];
     }
-    PerMachine<std::vector<Word>> payload(static_cast<std::size_t>(m));
-    for (std::size_t d = 0; d < payload.size(); ++d) {
-      payload[d].assign(count[d] * wpe, 0);
-      count[d] = 0;  // becomes the fill cursor, in words
-    }
+    // cursor[d] is now destination d's first slot; packing advances it to
+    // destination d + 1's first slot.
+    for (std::size_t d = 1; d < cursor.size(); ++d) cursor[d] += cursor[d - 1];
+    std::vector<Word> staging = mc.take_buffer();
+    staging.assign(mine.size() * wpe, 0);
     for (const auto& [to, item] : mine) {
-      const auto d = static_cast<std::size_t>(to);
-      util::pack_item(item, payload[d].data() + count[d]);
-      count[d] += wpe;
+      Word& at = cursor[static_cast<std::size_t>(to)];
+      util::pack_item(item,
+                      staging.data() + static_cast<std::size_t>(at) * wpe);
+      ++at;
     }
-    for (std::size_t d = 0; d < payload.size(); ++d) {
-      if (count[d] > 0) {
-        mc.send(static_cast<std::int64_t>(d), tags::kItem,
-                std::move(payload[d]));
+    std::size_t lo = 0;
+    for (std::int64_t d = 0; d < m; ++d) {
+      const auto hi =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(d)]);
+      if (hi > lo) {
+        std::vector<Word> payload = mc.take_buffer();
+        payload.assign(staging.begin() + static_cast<std::ptrdiff_t>(lo * wpe),
+                       staging.begin() + static_cast<std::ptrdiff_t>(hi * wpe));
+        mc.send(d, tags::kItem, std::move(payload));
       }
+      lo = hi;
     }
+    mc.give_back(std::move(staging));
+    mc.give_back(std::move(cursor));
   });
   c.run_round([&](MachineCtx& mc) {
     auto& mine = received[static_cast<std::size_t>(mc.id())];
     mine.clear();  // restartable: crash recovery re-executes the round
+    mine.reserve(detail::inbox_items<T>(mc, tags::kItem));
     for (const Message& msg : mc.inbox()) msg.decode_append(mine);
   });
   return received;
@@ -209,17 +240,17 @@ struct SketchItem {
   std::int64_t weight;
 };
 
-/// Compress a key-sorted weighted sketch to at most `cap` items.
-std::vector<SketchItem> compress_sketch(std::vector<SketchItem> items,
-                                        std::int64_t cap);
+/// Compresses a key-sorted weighted sketch in place to at most `cap` items;
+/// returns its new length.
+std::size_t compress_sketch(std::span<SketchItem> items, std::int64_t cap);
 
-/// Regular weighted samples of a sorted run.
+/// Appends regular weighted samples of a sorted run to `out`: at most `cap`
+/// items, each a chunk's last key weighted by the chunk's length.
 template <typename T, typename KeyFn>
-std::vector<SketchItem> leaf_sketch(const std::vector<T>& sorted,
-                                    std::int64_t cap, KeyFn&& key) {
+void append_leaf_sketch(std::span<const T> sorted, std::int64_t cap,
+                        KeyFn&& key, std::vector<SketchItem>& out) {
   const auto n = static_cast<std::int64_t>(sorted.size());
-  std::vector<SketchItem> out;
-  if (n == 0) return out;
+  if (n == 0) return;
   const std::int64_t chunks = std::min(cap, n);
   std::int64_t prev = 0;
   for (std::int64_t t = 0; t < chunks; ++t) {
@@ -229,7 +260,44 @@ std::vector<SketchItem> leaf_sketch(const std::vector<T>& sorted,
                              end - prev});
     prev = end;
   }
-  return out;
+}
+
+/// Stably merges the sorted runs buf[bounds[r], bounds[r + 1]) (bounds
+/// starts at 0 and ends at buf.size()) into one sorted sequence, merging
+/// neighbouring runs pass by pass: equal items keep their run order, so
+/// ties leave in run order. `tmp` is scratch of buf's size and `bounds` is
+/// consumed. Returns true when the result is in `tmp`, false when in `buf`.
+/// Allocates nothing (std::inplace_merge would, once per call).
+// monge-lint: hot
+template <typename T, typename Less>
+bool merge_sorted_runs(std::span<T> buf, std::span<T> tmp,
+                       std::span<std::size_t> bounds, Less less) {
+  MONGE_DCHECK(buf.size() == tmp.size());
+  MONGE_DCHECK(!bounds.empty() && bounds.back() == buf.size());
+  std::span<T> src = buf;
+  std::span<T> dst = tmp;
+  std::size_t runs = bounds.size() - 1;
+  bool in_tmp = false;
+  while (runs > 1) {
+    for (std::size_t r = 0; r < runs; r += 2) {
+      // An odd last run has no partner; merging it with nothing copies it.
+      const auto lo = static_cast<std::ptrdiff_t>(bounds[r]);
+      const auto mid = static_cast<std::ptrdiff_t>(bounds[r + 1]);
+      const auto hi =
+          static_cast<std::ptrdiff_t>(bounds[std::min(r + 2, runs)]);
+      std::merge(src.begin() + lo, src.begin() + mid, src.begin() + mid,
+                 src.begin() + hi, dst.begin() + lo, less);
+    }
+    // Run k of the next pass is runs 2k and 2k + 1 of this one.
+    const std::size_t next = (runs + 1) / 2;
+    for (std::size_t k = 0; k <= next; ++k) {
+      bounds[k] = bounds[std::min(2 * k, runs)];
+    }
+    runs = next;
+    std::swap(src, dst);
+    in_tmp = !in_tmp;
+  }
+  return in_tmp;
 }
 
 }  // namespace detail
@@ -237,6 +305,17 @@ std::vector<SketchItem> leaf_sketch(const std::vector<T>& sorted,
 /// Deterministic sort of a DistVector (shards of any sizes) by an int64 key
 /// (Lemma 2.5). Afterwards it is globally sorted and in canonical layout.
 /// Round count is Θ((δ/(1−δ))²) — independent of n for fixed δ.
+///
+/// Only the local sort at the start sorts; every later step merges runs
+/// that arrive sorted. In a sketch hop only the machines at that hop's
+/// depth act: each builds its leaf sketch (regular samples of its sorted
+/// shard, read-only for the level), merges it with the sketches its
+/// children sent, compresses and sends the result up; in the splitter round
+/// only the group roots merge. A re-executed round merges the same runs
+/// again, so no sketch state survives a round. A receiver merges its
+/// fragments the same way. Every merge is stable over runs in machine-id
+/// order (own sketch first, then the inbox, which is in sender order), so
+/// equal keys leave in sender order — at every thread count.
 template <typename T, typename KeyFn>
 void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
   const std::int64_t m = c.machines();
@@ -252,86 +331,99 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
   const std::int64_t f = collective_fanout(c);
   const std::int64_t cap = 4 * f;  // sketch capacity per tree node
 
-  // Host-side per-machine protocol state (machine i only touches slot i).
-  PerMachine<std::vector<detail::SketchItem>> sketch(
-      static_cast<std::size_t>(m));
-  PerMachine<std::vector<std::int64_t>> splitters(static_cast<std::size_t>(m));
+  // Host-side per-machine protocol state and merge scratch (machine i only
+  // touches slot i), reused by every level: the sketch runs and their
+  // bounds, the merge scratch for sketches and for fragments, and the
+  // splitters.
+  const auto slots = static_cast<std::size_t>(m);
+  PerMachine<std::vector<detail::SketchItem>> sketch(slots), sketch_tmp(slots);
+  PerMachine<std::vector<std::size_t>> bounds(slots);
+  PerMachine<std::vector<T>> shard_tmp(slots);
+  PerMachine<std::vector<std::int64_t>> splitters(slots);
 
   // Top-down splitter refinement: every group splits into subgroups of
   // size ceil(group/F) until each machine is its own group. Group extents
   // are tracked explicitly per machine: subgroup boundaries are relative to
   // the parent group's base, so they are NOT globally aligned to a common
   // modulus once sizes stop dividing evenly.
-  PerMachine<std::int64_t> grp_base(static_cast<std::size_t>(m), 0);
-  PerMachine<std::int64_t> grp_size(static_cast<std::size_t>(m), m);
+  PerMachine<std::int64_t> grp_base(slots, 0);
+  PerMachine<std::int64_t> grp_size(slots, m);
+  const auto group_base = [&](std::int64_t i) {
+    return grp_base[static_cast<std::size_t>(i)];
+  };
+  const auto group_size = [&](std::int64_t i) {
+    return grp_size[static_cast<std::size_t>(i)];
+  };
+  // Per-group split width; every machine can derive it from its own
+  // group's size.
+  const auto sub_width = [&](std::int64_t i) {
+    return ceil_div(std::max<std::int64_t>(group_size(i), 1), f);
+  };
+  const auto depth_of = [&](std::int64_t i) {
+    return tree_depth_of_rank(i - group_base(i), f);
+  };
+
+  // Merges machine i's leaf sketch with the sketches in its inbox into
+  // sketch[i] (key order, ties in machine-id order) and returns it.
+  const auto merge_sketches = [&](MachineCtx& mc) -> auto& {
+    const auto k = static_cast<std::size_t>(mc.id());
+    auto& runs = sketch[k];
+    auto& ends = bounds[k];
+    const auto& shard = std::as_const(dv).local(mc.id());
+    runs.clear();
+    runs.reserve(std::min(static_cast<std::size_t>(cap), shard.size()) +
+                 detail::inbox_items<detail::SketchItem>(mc, tags::kSketch));
+    ends.assign(1, 0);
+    ends.reserve(mc.inbox().size() + 2);
+    detail::append_leaf_sketch<T>(shard, cap, key, runs);
+    ends.push_back(runs.size());
+    for (const Message& msg : mc.inbox()) {
+      if (msg.tag != tags::kSketch) continue;
+      msg.decode_append(runs);
+      ends.push_back(runs.size());
+    }
+    auto& tmp = sketch_tmp[k];
+    tmp.resize(runs.size());
+    if (detail::merge_sorted_runs<detail::SketchItem>(
+            runs, tmp, ends,
+            [](const auto& a, const auto& b) { return a.key < b.key; })) {
+      runs.swap(tmp);
+    }
+    return runs;
+  };
 
   for (;;) {
     std::int64_t g = 1;  // largest current group
-    for (std::int64_t i = 0; i < m; ++i) {
-      g = std::max(g, grp_size[static_cast<std::size_t>(i)]);
-    }
+    for (std::int64_t i = 0; i < m; ++i) g = std::max(g, group_size(i));
     if (g <= 1) break;
-    const auto group_base = [&](std::int64_t i) {
-      return grp_base[static_cast<std::size_t>(i)];
-    };
-    const auto group_size = [&](std::int64_t i) {
-      return grp_size[static_cast<std::size_t>(i)];
-    };
-    // Per-group split width; every machine can derive it from its own
-    // group's size.
-    const auto sub_width = [&](std::int64_t i) {
-      return ceil_div(std::max<std::int64_t>(group_size(i), 1), f);
-    };
     const int dmax = tree_max_depth(g, f);
 
-    // --- Sketch up-sweep: leaves to root of each group's rank tree.
-    for (std::int64_t i = 0; i < m; ++i) {
-      sketch[static_cast<std::size_t>(i)] =
-          detail::leaf_sketch(dv.local(i), cap, key);
-    }
-    // Double-buffered so every round is restartable: a hop merges the
-    // previous hop's sketch (read-only this round) with the inbox into the
-    // next buffer — crash recovery re-executes the merge instead of
-    // absorbing the same children twice.
-    PerMachine<std::vector<detail::SketchItem>> next_sketch(
-        static_cast<std::size_t>(m));
+    // --- Sketch up-sweep: leaves to root of each group's rank tree. A
+    // machine at depth d hears from its children (depth d + 1, sent at hop
+    // d + 1) in hop d's round and sends up in the same round.
     for (int hop = dmax; hop >= 1; --hop) {
       c.run_round([&](MachineCtx& mc) {
         const std::int64_t i = mc.id();
-        auto sk = sketch[static_cast<std::size_t>(i)];
-        for (const Message& msg : mc.inbox()) {
-          if (msg.tag == tags::kSketch) msg.decode_append(sk);
-        }
-        std::sort(sk.begin(), sk.end(), [](const auto& a, const auto& b) {
-          return a.key < b.key;
-        });
-        sk = detail::compress_sketch(std::move(sk), cap);
-        const std::int64_t rank = i - group_base(i);
-        if (rank < group_size(i) && tree_depth_of_rank(rank, f) == hop) {
-          mc.send_items<detail::SketchItem>(
-              group_base(i) + tree_parent(rank, f), tags::kSketch, sk);
-        }
-        next_sketch[static_cast<std::size_t>(i)] = std::move(sk);
+        if (depth_of(i) != hop) return;
+        auto& sk = merge_sketches(mc);
+        sk.resize(detail::compress_sketch(sk, cap));
+        mc.send_items<detail::SketchItem>(
+            group_base(i) + tree_parent(i - group_base(i), f), tags::kSketch,
+            sk);
       });
-      sketch.swap(next_sketch);
     }
-    // Absorb the hop-1 sends at the roots and compute splitters there (on
-    // a local merge copy — the sketches are dead after this round).
+    // The roots absorb the hop-1 sends and pick splitters from the merged,
+    // uncompressed sketch.
     c.run_round([&](MachineCtx& mc) {
       const std::int64_t i = mc.id();
-      auto sk = sketch[static_cast<std::size_t>(i)];
-      for (const Message& msg : mc.inbox()) {
-        if (msg.tag == tags::kSketch) msg.decode_append(sk);
-      }
-      std::sort(sk.begin(), sk.end(),
-                [](const auto& a, const auto& b) { return a.key < b.key; });
-      splitters[static_cast<std::size_t>(i)].clear();
       if (i != group_base(i)) return;  // only group roots pick splitters
-      const std::int64_t gsize = group_size(i);
-      const std::int64_t buckets = ceil_div(gsize, sub_width(i));
+      auto& spl = splitters[static_cast<std::size_t>(i)];
+      spl.clear();
+      const std::int64_t buckets = ceil_div(group_size(i), sub_width(i));
+      if (buckets <= 1) return;
+      const auto& sk = merge_sketches(mc);
       std::int64_t w_total = 0;
       for (const auto& item : sk) w_total += item.weight;
-      auto& spl = splitters[static_cast<std::size_t>(i)];
       std::size_t pos = 0;
       std::int64_t acc = 0;
       for (std::int64_t t = 1; t < buckets; ++t) {
@@ -344,22 +436,25 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
       }
     });
 
-    // --- Broadcast splitters down each group's rank tree.
+    // --- Broadcast splitters down each group's rank tree: a machine at
+    // depth d hears from its parent in hop d's round and passes the
+    // splitters on to its children in the same round.
     for (int hop = 0; hop <= dmax; ++hop) {
       c.run_round([&](MachineCtx& mc) {
         const std::int64_t i = mc.id();
+        if (depth_of(i) != hop) return;
+        auto& spl = splitters[static_cast<std::size_t>(i)];
         for (const Message& msg : mc.inbox()) {
           if (msg.tag == tags::kSplitters) {
-            splitters[static_cast<std::size_t>(i)] = msg.payload;
+            spl.assign(msg.payload.begin(), msg.payload.end());
           }
         }
         const std::int64_t rank = i - group_base(i);
-        if (tree_depth_of_rank(rank, f) != hop) return;
         for (std::int64_t k = 1; k <= f; ++k) {
           const std::int64_t child = rank * f + k;
           if (child >= group_size(i)) break;
           mc.send_items<std::int64_t>(group_base(i) + child, tags::kSplitters,
-                                      splitters[static_cast<std::size_t>(i)]);
+                                      spl);
         }
       });
     }
@@ -400,12 +495,22 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
       }
       v.clear();
     });
+    // Each fragment is a sorted slice of its sender's shard: merge them.
     c.run_round([&](MachineCtx& mc) {
+      const auto k = static_cast<std::size_t>(mc.id());
       auto& v = dv.local(mc.id());
+      auto& ends = bounds[k];
+      ends.assign(1, 0);
+      ends.reserve(mc.inbox().size() + 1);
+      v.reserve(detail::inbox_items<T>(mc, tags::kFragment));
       for (const Message& msg : mc.inbox()) {
-        if (msg.tag == tags::kFragment) msg.decode_append(v);
+        if (msg.tag != tags::kFragment) continue;
+        msg.decode_append(v);
+        ends.push_back(v.size());
       }
-      std::sort(v.begin(), v.end(), by_key);
+      auto& tmp = shard_tmp[k];
+      tmp.resize(v.size());
+      if (detail::merge_sorted_runs<T>(v, tmp, ends, by_key)) v.swap(tmp);
     });
 
     // Descend into subgroups: machine i's next group is the subgroup of its
@@ -421,10 +526,10 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
   }
 
   // --- Exact rebalance to the canonical block layout.
-  PerMachine<std::int64_t> counts(static_cast<std::size_t>(m));
+  PerMachine<std::int64_t> counts(slots);
   for (std::int64_t i = 0; i < m; ++i) {
     counts[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(dv.local(i).size());
+        static_cast<std::int64_t>(std::as_const(dv).local(i).size());
   }
   const PrefixResult pr = exclusive_prefix(c, counts);
   MONGE_CHECK(pr.total == dv.size());
@@ -447,17 +552,14 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
     }
     v.clear();
   });
+  // Each chunk decodes straight into its place in the shard.
   c.run_round([&](MachineCtx& mc) {
     const std::int64_t i = mc.id();
     auto& v = dv.local(i);
     v.assign(static_cast<std::size_t>(layout.size(i)), T{});
     for (const Message& msg : mc.inbox()) {
       if ((msg.tag & 0xff) != tags::kChunk) continue;
-      const std::int64_t offset = msg.tag >> 8;
-      auto items = msg.decode<T>();
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        v[static_cast<std::size_t>(offset) + k] = items[k];
-      }
+      msg.decode_into(v, static_cast<std::size_t>(msg.tag >> 8));
     }
   });
 }
@@ -502,11 +604,7 @@ std::vector<T> gather_to_machine(Cluster& c, const DistVector<T>& dv,
     if (mc.id() != target) return;
     for (const Message& msg : mc.inbox()) {
       if ((msg.tag & 0xff) != tags::kChunk) continue;
-      const std::int64_t offset = msg.tag >> 8;
-      auto items = msg.decode<T>();
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        out[static_cast<std::size_t>(offset) + k] = items[k];
-      }
+      msg.decode_into(out, static_cast<std::size_t>(msg.tag >> 8));
     }
   });
   return out;

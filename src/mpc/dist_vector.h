@@ -14,6 +14,15 @@
 // reinstates it bit-exactly. The hooks point at the heap-held shard array,
 // which a move hands over whole, so a moved vector keeps its registration
 // and every live structure is counted exactly once.
+//
+// The audit is incremental: handing out shard i mutably (local(i)) marks
+// (this vector, machine i) for the next audit to re-read, and nothing else
+// does. So a mutable shard reference is valid only within the round or
+// host step that took it — the code between two cluster rounds, or one
+// machine's closure inside a round. Keeping one across a round and
+// writing through it later hides the change from the audit (builds with
+// MONGE_DCHECK on catch it: their audit re-checks a full walk). Read-only
+// access goes through the const overload and marks nothing.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +88,10 @@ class DistVector {
   /// is distributed across the machines" and costs no rounds.
   static DistVector from_host(Cluster& cluster, std::span<const T> data) {
     DistVector dv(cluster, static_cast<std::int64_t>(data.size()));
+    // Fills the shards in place: their sizes (so their words) are the ones
+    // registration read, so nothing needs marking.
     for (std::int64_t i = 0; i < cluster.machines(); ++i) {
-      auto& loc = dv.local(i);
+      auto& loc = (*dv.shards_)[static_cast<std::size_t>(i)];
       const std::int64_t lo = dv.layout_.lo(i);
       for (std::int64_t k = 0; k < dv.layout_.size(i); ++k) {
         loc[static_cast<std::size_t>(k)] = data[static_cast<std::size_t>(lo + k)];
@@ -126,7 +137,10 @@ class DistVector {
   std::int64_t size() const { return layout_.total; }
   const BlockLayout& layout() const { return layout_; }
 
+  /// Machine `machine`'s shard, marked for the audit to re-read; inside a
+  /// round, only that machine's closure may take it.
   std::vector<T>& local(std::int64_t machine) {
+    cluster_->mark_resident(resident_id_, machine);
     return (*shards_)[static_cast<std::size_t>(machine)];
   }
   const std::vector<T>& local(std::int64_t machine) const {
@@ -150,10 +164,10 @@ class DistVector {
         static_cast<std::int64_t>(util::kWordsPerItem<T>);
     std::vector<std::vector<T>>* shards = shards_.get();
     ResidentHooks hooks;
-    hooks.add_words = [shards](std::span<std::int64_t> words) {
-      for (std::size_t i = 0; i < words.size(); ++i) {
-        words[i] += static_cast<std::int64_t>((*shards)[i].size()) * words_per;
-      }
+    hooks.words = [shards](std::int64_t machine) {
+      return static_cast<std::int64_t>(
+                 (*shards)[static_cast<std::size_t>(machine)].size()) *
+             words_per;
     };
     hooks.checkpoint = [shards](std::int64_t machine) {
       return util::pack_words<T>((*shards)[static_cast<std::size_t>(machine)]);

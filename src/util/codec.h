@@ -37,41 +37,73 @@ void pack_item(const T& item, std::int64_t* words) {
   std::memcpy(words, &item, sizeof(T));
 }
 
-/// Packs an array of T into a flat word array, one kWordsPerItem<T> stride
-/// per item; padding bytes are zeroed so packed payloads compare equal.
+/// Packs an array of T into `words`, one kWordsPerItem<T> stride per item,
+/// replacing its contents but keeping its capacity; padding bytes are
+/// zeroed so packed payloads compare equal.
 template <typename T>
-std::vector<std::int64_t> pack_words(std::span<const T> items) {
+void pack_words_into(std::span<const T> items,
+                     std::vector<std::int64_t>& words) {
   constexpr std::size_t wpe = kWordsPerItem<T>;
-  std::vector<std::int64_t> words(items.size() * wpe, 0);
+  words.assign(items.size() * wpe, 0);
   for (std::size_t i = 0; i < items.size(); ++i) {
     pack_item(items[i], words.data() + i * wpe);
   }
+}
+
+/// Packs an array of T into a fresh flat word array (see pack_words_into).
+template <typename T>
+std::vector<std::int64_t> pack_words(std::span<const T> items) {
+  std::vector<std::int64_t> words;
+  pack_words_into(items, words);
   return words;
 }
 
-/// Inverse of pack_words, appending the decoded items to `out`:
-/// words.size() must be a whole number of item strides — a truncated or
-/// corrupted payload throws monge::CodecError, before anything is appended,
-/// instead of misdecoding.
+/// Throws CodecError unless `words` is a whole number of T strides.
 template <typename T>
-void unpack_words_append(std::span<const std::int64_t> words,
-                         std::vector<T>& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
+std::size_t whole_items(std::span<const std::int64_t> words) {
   constexpr std::size_t wpe = kWordsPerItem<T>;
   if (words.size() % wpe != 0) {
     throw CodecError("payload of " + std::to_string(words.size()) +
                      " words is not a whole number of " +
                      std::to_string(wpe) + "-word items");
   }
-  const std::size_t base = out.size();
-  out.resize(base + words.size() / wpe);
-  for (std::size_t i = 0; i < words.size() / wpe; ++i) {
+  return words.size() / wpe;
+}
+
+/// Inverse of pack_words, writing the decoded items over the front of
+/// `out` and returning how many there are: words.size() must be a whole
+/// number of item strides, and the items must fit `out` — otherwise
+/// monge::CodecError, before anything is written.
+template <typename T>
+std::size_t unpack_words_into(std::span<const std::int64_t> words,
+                              std::span<T> out) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  constexpr std::size_t wpe = kWordsPerItem<T>;
+  const std::size_t n = whole_items<T>(words);
+  if (n > out.size()) {
+    throw CodecError("payload of " + std::to_string(n) +
+                     " items does not fit the " + std::to_string(out.size()) +
+                     " slots it decodes into");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
     // The static_assert above makes the memcpy well-defined even when T is
     // "non-trivial" only through default member initializers; the void* cast
     // tells -Wclass-memaccess exactly that.
-    std::memcpy(static_cast<void*>(&out[base + i]), words.data() + i * wpe,
+    std::memcpy(static_cast<void*>(&out[i]), words.data() + i * wpe,
                 sizeof(T));
   }
+  return n;
+}
+
+/// Inverse of pack_words, appending the decoded items to `out`; same
+/// contract (and CodecError, before anything is appended) as
+/// unpack_words_into.
+template <typename T>
+void unpack_words_append(std::span<const std::int64_t> words,
+                         std::vector<T>& out) {
+  const std::size_t base = out.size();
+  out.resize(base + whole_items<T>(words));
+  unpack_words_into<T>(words, std::span<T>(out).subspan(base));
 }
 
 /// Inverse of pack_words into a fresh array (see unpack_words_append).

@@ -125,6 +125,17 @@ TEST(Codec, MessageDecodeRejectsCorruptPayload) {
   msg.payload = pack_words<ThreeInts>(more);
   msg.decode_append(out);
   EXPECT_EQ(out, (std::vector<ThreeInts>{{9, 9, 9}, {1, 2, 3}, {4, 5, 6}}));
+
+  // decode_into overwrites from an offset in place, and rejects a payload
+  // that is not whole strides or does not fit, before writing anything.
+  EXPECT_EQ(msg.decode_into(out, 1), 2u);
+  EXPECT_EQ(out, (std::vector<ThreeInts>{{9, 9, 9}, {1, 2, 3}, {4, 5, 6}}));
+  msg.payload = pack_words<ThreeInts>(std::vector<ThreeInts>{{7, 7, 7}});
+  EXPECT_EQ(msg.decode_into(out, 0), 1u);
+  EXPECT_THROW(msg.decode_into(out, 3), CodecError);  // 1 item, 0 slots
+  msg.payload = {1, 2, 3};
+  EXPECT_THROW(msg.decode_into(out, 0), CodecError);
+  EXPECT_EQ(out, (std::vector<ThreeInts>{{7, 7, 7}, {1, 2, 3}, {4, 5, 6}}));
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "mpc/cluster.h"
 #include "mpc/dist_vector.h"
@@ -201,6 +203,59 @@ TEST(Sort, HandlesDuplicateKeys) {
   EXPECT_EQ(dv.to_host(), data);
 }
 
+// Keys in [0, 7] are where tie order shows: the merges keep equal keys in
+// sender order, which decides where duplicates land and so which messages
+// go out. At every cluster thread count the sort must put every item in
+// the same place and count the same rounds, words and peaks.
+TEST(Sort, DuplicateKeysSameStatsAtEveryThreadCount) {
+  struct Rec {
+    std::int64_t key;
+    std::int64_t origin;
+  };
+  for (const std::int64_t m : {8, 32, 60}) {
+    for (const std::int64_t space : {300, 1024}) {
+      Rng rng(static_cast<std::uint64_t>(m * 7 + space));
+      std::vector<Rec> data(static_cast<std::size_t>(25 * m));
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = Rec{rng.next_in(0, 7), static_cast<std::int64_t>(i)};
+      }
+      std::vector<std::int64_t> keys;
+      for (const Rec& r : data) keys.push_back(r.key);
+      std::sort(keys.begin(), keys.end());
+      std::vector<std::int64_t> first_origins;
+      ClusterStats first{};
+      for (const unsigned threads : {1u, 2u, 3u}) {
+        MpcConfig cfg = cfg_of(m, space, /*strict=*/false);
+        cfg.threads = threads;
+        Cluster c(cfg);
+        auto dv = DistVector<Rec>::from_host(c, data);
+        sample_sort(c, dv, [](const Rec& r) { return r.key; });
+        std::vector<std::int64_t> got_keys, origins;
+        for (const Rec& r : dv.to_host()) {
+          got_keys.push_back(r.key);
+          origins.push_back(r.origin);
+        }
+        const std::string where = "m=" + std::to_string(m) + " s=" +
+                                  std::to_string(space) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_EQ(got_keys, keys) << where;
+        if (threads == 1) {
+          first_origins = origins;
+          first = c.stats();
+          continue;
+        }
+        EXPECT_EQ(origins, first_origins) << where;
+        EXPECT_EQ(c.stats().rounds, first.rounds) << where;
+        EXPECT_EQ(c.stats().total_comm_words, first.total_comm_words) << where;
+        EXPECT_EQ(c.stats().max_machine_words, first.max_machine_words)
+            << where;
+        EXPECT_EQ(c.stats().max_resident_words, first.max_resident_words)
+            << where;
+      }
+    }
+  }
+}
+
 TEST(Sort, AlreadySortedAndReversed) {
   for (bool reversed : {false, true}) {
     Cluster c(cfg_of(9, 1 << 22));
@@ -323,6 +378,49 @@ TEST(RankSearch, MatchesBruteForce) {
     std::int64_t expect = 0;
     for (std::int64_t v : values) expect += (v < queries[i]);
     EXPECT_EQ(got[i], expect) << "query " << queries[i];
+  }
+}
+
+// Duplicate queries share a sort key, so their tie order decides which
+// machine answers each one. Answers must equal brute force, and the counts
+// must not depend on the cluster's thread count.
+TEST(RankSearch, DuplicateQueriesSameStatsAtEveryThreadCount) {
+  for (const std::int64_t m : {8, 32, 60}) {
+    for (const std::int64_t space : {300, 1024}) {
+      Rng rng(static_cast<std::uint64_t>(m * 11 + space));
+      std::vector<std::int64_t> values(static_cast<std::size_t>(10 * m));
+      std::vector<std::int64_t> queries(static_cast<std::size_t>(15 * m));
+      for (auto& v : values) v = rng.next_in(0, 7);
+      for (auto& q : queries) q = rng.next_in(0, 7);
+      ClusterStats first{};
+      for (const unsigned threads : {1u, 2u, 3u}) {
+        MpcConfig cfg = cfg_of(m, space, /*strict=*/false);
+        cfg.threads = threads;
+        Cluster c(cfg);
+        auto dvv = DistVector<std::int64_t>::from_host(c, values);
+        auto dvq = DistVector<std::int64_t>::from_host(c, queries);
+        const auto got = rank_search(c, dvv, dvq).to_host();
+        const std::string where = "m=" + std::to_string(m) + " s=" +
+                                  std::to_string(space) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_EQ(got.size(), queries.size()) << where;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          std::int64_t expect = 0;
+          for (const std::int64_t v : values) expect += (v < queries[i]);
+          ASSERT_EQ(got[i], expect) << where << " query " << i;
+        }
+        if (threads == 1) {
+          first = c.stats();
+          continue;
+        }
+        EXPECT_EQ(c.stats().rounds, first.rounds) << where;
+        EXPECT_EQ(c.stats().total_comm_words, first.total_comm_words) << where;
+        EXPECT_EQ(c.stats().max_machine_words, first.max_machine_words)
+            << where;
+        EXPECT_EQ(c.stats().max_resident_words, first.max_resident_words)
+            << where;
+      }
+    }
   }
 }
 

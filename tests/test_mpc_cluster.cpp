@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "mpc/dist_vector.h"
+#include "util/rng.h"
 
 namespace monge::mpc {
 namespace {
@@ -145,12 +147,8 @@ TEST(Cluster, ResidentAuditing) {
   // An audit-only registration (no checkpoint/restore) counts once per
   // round, per machine, alongside a DistVector, until it is unregistered.
   DistVector<std::int64_t> dv(c, 100);  // 50 words per machine
-  const std::int64_t id = c.register_resident(
-      ResidentHooks{.add_words = [](std::span<std::int64_t> words) {
-        for (std::size_t i = 0; i < words.size(); ++i) {
-          words[i] += 7 + static_cast<std::int64_t>(i);
-        }
-      }});
+  const std::int64_t id = c.register_resident(ResidentHooks{
+      .words = [](std::int64_t machine) { return 7 + machine; }});
   EXPECT_EQ(c.resident_words(), (std::vector<std::int64_t>{57, 58}));
   c.reset_stats();
   EXPECT_NO_THROW(c.run_round([](MachineCtx&) {}));
@@ -476,10 +474,8 @@ TEST(ClusterChaos, CrashWithNonRecoverableResidentIsUnrecoverable) {
                                   FaultKind::kCrash});
   Cluster c(cfg);
   // Audit-only registration: words but no checkpoint/restore hooks.
-  const std::int64_t id = c.register_resident(
-      ResidentHooks{.add_words = [](std::span<std::int64_t> words) {
-        for (std::int64_t& w : words) w += 1;
-      }});
+  const std::int64_t id = c.register_resident(ResidentHooks{
+      .words = [](std::int64_t) { return std::int64_t{1}; }});
   EXPECT_THROW(c.run_round([](MachineCtx&) {}), FaultError);
   c.unregister_resident(id);
 }
@@ -547,6 +543,116 @@ TEST(DistVectorTest, MoveKeepsAuditingConsistent) {
     EXPECT_EQ(audited(), before + 4);
   }
   EXPECT_EQ(audited(), before);  // destroyed between rounds
+}
+
+// The audit keeps running per-machine totals and re-reads only the shards
+// handed out mutably since its last read. After every round they must
+// equal a walk over the live vectors: through shards resized at random
+// inside rounds (each machine its own) and on the host between rounds,
+// vectors created, moved, move-assigned and destroyed mid-sequence, and a
+// crash whose recovery restores a checkpoint.
+TEST(DistVectorTest, IncrementalAuditMatchesFullWalk) {
+  struct Wide {
+    std::int64_t x, y;
+  };
+  const std::int64_t m = 5;
+  // Runs `steps` random steps on `c`; with reset, every round's peak is
+  // checked on its own, otherwise the running peak is.
+  const auto run = [m](Cluster& c, Rng& rng, int steps, bool reset) {
+    std::vector<DistVector<std::int64_t>> narrow;
+    std::vector<DistVector<Wide>> wide;
+    const auto walk = [&] {
+      std::vector<std::int64_t> words(static_cast<std::size_t>(m), 0);
+      for (std::int64_t i = 0; i < m; ++i) {
+        auto& w = words[static_cast<std::size_t>(i)];
+        for (const auto& dv : narrow) {
+          w += static_cast<std::int64_t>(dv.local(i).size());
+        }
+        for (const auto& dv : wide) {
+          w += 2 * static_cast<std::int64_t>(dv.local(i).size());
+        }
+      }
+      return words;
+    };
+    // Per machine: (vector, new size) pairs, narrow vectors first.
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> plan(
+        static_cast<std::size_t>(m));
+    std::int64_t peak = 0;
+    for (int step = 0; step < steps; ++step) {
+      switch (rng.next_in(0, 4)) {
+        case 0:  // create; a growing array move-constructs what it holds
+          narrow.emplace_back(c, rng.next_in(0, 40));
+          wide.emplace_back(c, rng.next_in(0, 20));
+          break;
+        case 1:  // destroy one; erase move-assigns the ones after it
+          if (!narrow.empty()) {
+            const std::int64_t victim =
+                rng.next_in(0, static_cast<std::int64_t>(narrow.size()) - 1);
+            narrow.erase(narrow.begin() + victim);
+          }
+          break;
+        case 2:  // move-assign one vector over another
+          if (wide.size() >= 2) {
+            wide.front() = std::move(wide.back());
+            wide.pop_back();
+          }
+          break;
+        case 3:  // resize a shard on the host
+          if (!narrow.empty()) {
+            narrow.back()
+                .local(rng.next_in(0, m - 1))
+                .resize(static_cast<std::size_t>(rng.next_in(0, 30)));
+          }
+          break;
+        default:  // move-construct, then let the moved-from one go
+          if (!wide.empty()) {
+            DistVector<Wide> moved(std::move(wide.back()));
+            wide.back() = std::move(moved);
+          }
+          break;
+      }
+      const std::size_t vectors = narrow.size() + wide.size();
+      for (auto& mine : plan) {
+        mine.clear();
+        for (std::size_t k = 0; k < vectors; ++k) {
+          if (rng.next_in(0, 2) == 0) {
+            mine.push_back({k, static_cast<std::size_t>(rng.next_in(0, 25))});
+          }
+        }
+      }
+      if (reset) c.reset_stats();
+      c.run_round([&](MachineCtx& mc) {
+        for (const auto& [k, size] :
+             plan[static_cast<std::size_t>(mc.id())]) {
+          if (k < narrow.size()) {
+            narrow[k].local(mc.id()).resize(size);
+          } else {
+            wide[k - narrow.size()].local(mc.id()).resize(size);
+          }
+        }
+      });
+      const std::vector<std::int64_t> expect = walk();
+      ASSERT_EQ(c.resident_words(), expect) << "step " << step;
+      const std::int64_t top = *std::max_element(expect.begin(), expect.end());
+      peak = reset ? top : std::max(peak, top);
+      ASSERT_EQ(c.stats().max_resident_words, peak) << "step " << step;
+    }
+  };
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    MpcConfig cfg = small_config(m, 1 << 20, /*strict=*/false);
+    cfg.threads = threads;
+    Cluster c(cfg);
+    Rng rng(threads);
+    run(c, rng, 80, /*reset=*/true);
+    // One crash schedule: round 7 crashes machine 3 on its first attempt,
+    // so recovery restores every shard and re-executes the resizes.
+    cfg.faults.scheduled.push_back({/*round=*/7, /*machine=*/3,
+                                    FaultKind::kCrash});
+    Cluster chaos(cfg);
+    run(chaos, rng, 20, /*reset=*/false);
+    EXPECT_EQ(chaos.stats().recovery.crashes_recovered, 1)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
