@@ -379,13 +379,11 @@ std::vector<LcsResult> Solver::solve_batch(std::span<const LcsRequest> reqs) {
     return out;
   }
   // Sequential fast path: requests are grouped by (t, s), so the
-  // Hunt–Szymanski occurrence table is built once per distinct t, the
+  // Hunt–Szymanski occurrence table is built once per distinct t and the
   // match sequence once per distinct (s, t) pair (identical requests
-  // collapse onto one subproblem), and every distinct LIS subproblem rides
-  // ONE lis_kernel_batch forest pass — one batched engine call per merge
-  // level, striped across the engine pool when one is configured. The LIS
-  // length read off a kernel equals patience sorting's, so results stay
-  // bit-identical to the per-request loop (pinned in test_solver.cpp).
+  // collapse onto one subproblem). Patience sorting answers each group,
+  // exactly as the single route does, so results stay bit-identical to the
+  // per-request loop (pinned in test_solver.cpp).
   std::vector<std::size_t> order(reqs.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
@@ -395,8 +393,6 @@ std::vector<LcsResult> Solver::solve_batch(std::span<const LcsRequest> reqs) {
                    });
 
   std::optional<lcs::HsOccurrences> occ;  // of the current t group
-  std::vector<std::vector<std::int32_t>> perms;
-  std::vector<std::vector<std::size_t>> perm_users;  // perms[k] answers these
   for (std::size_t g = 0; g < order.size();) {
     const LcsRequest& head = reqs[order[g]];
     if (g == 0 || reqs[order[g - 1]].t != head.t) occ.emplace(head.t);
@@ -405,28 +401,14 @@ std::vector<LcsResult> Solver::solve_batch(std::span<const LcsRequest> reqs) {
            reqs[order[h]].s == head.s) {
       ++h;
     }
-    auto seq = occ->match_sequence(head.s);
+    const auto seq = occ->match_sequence(head.s);
     const auto matches = static_cast<std::int64_t>(seq.size());
-    for (std::size_t k = g; k < h; ++k) out[order[k]].matches = matches;
-    if (seq.empty()) {
-      // No matches: LCS is 0, no LIS subproblem to schedule.
-    } else if (matches > options_.lcs_engine_match_limit) {
-      // Too large for one engine kernel; patience answers the group once.
-      const std::int64_t lcs_len = lis::lis_length(seq);
-      for (std::size_t k = g; k < h; ++k) out[order[k]].lcs = lcs_len;
-    } else {
-      perms.push_back(lis::rank_reduce_strict(seq));
-      perm_users.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(g),
-                              order.begin() + static_cast<std::ptrdiff_t>(h));
+    const std::int64_t lcs_len = lis::lis_length(seq);
+    for (std::size_t k = g; k < h; ++k) {
+      out[order[k]].matches = matches;
+      out[order[k]].lcs = lcs_len;
     }
     g = h;
-  }
-  if (!perms.empty()) {
-    const auto kernels = lis::lis_kernel_batch(perms, engine_);
-    for (std::size_t k = 0; k < kernels.size(); ++k) {
-      const std::int64_t lcs_len = lis::lis_from_kernel(kernels[k]);
-      for (const std::size_t i : perm_users[k]) out[i].lcs = lcs_len;
-    }
   }
   return out;
 }

@@ -32,24 +32,24 @@
 // lis_window_batch, lcs_dp) are not routes: the tests call them directly
 // and compare them with these routes.
 //
-// Batching contract: a Sequential solve_batch costs exactly one batched
+// Batching contract: a Sequential solve_batch costs at most one batched
 // engine call per request kind — MultiplyRequest batches group into at
 // most one multiply_batch_into and one subunit_multiply_batch_into call
 // (one arena sizing each, striped across the engine pool when one is
-// configured), and LisRequest batches solve all kernels through one
-// lis_kernel_batch forest pass (one batched engine call per merge level).
-// The MpcSim backend routes multiply batches through the *_batch cluster
+// configured), LisRequest batches solve all kernels through one
+// lis_kernel_batch forest pass (one batched engine call per merge level),
+// and LcsRequest batches make none (patience sorting answers each distinct
+// match sequence). The MpcSim backend routes multiply batches through the *_batch cluster
 // entry points, so all pairs of a batch share every round.
 //
-// LCS match-count guard: every route that would hand a Hunt–Szymanski
-// match sequence to the seaweed machinery (the Sequential batch grouping's
-// kernels, the MpcSim cluster solve) first checks the match count against
-// SolverOptions::lcs_engine_match_limit and falls back to patience sorting
-// on the match sequence above it — bit-identical results (lcs_hs IS
-// patience over the matches), no engine size-guard throw. The
-// single-request Sequential route always uses patience directly, so it is
-// immune by construction; single and batch solves therefore agree for
-// every match count.
+// LCS match-count guard: the MpcSim cluster solve, the one route that
+// hands a Hunt–Szymanski match sequence to the seaweed machinery, first
+// checks the match count against SolverOptions::lcs_engine_match_limit and
+// falls back to patience sorting on the match sequence above it —
+// bit-identical results (lcs_hs IS patience over the matches), no engine
+// size-guard throw. Both Sequential routes, single and batched, answer
+// with patience directly, so they are immune by construction; single and
+// batch solves therefore agree for every match count.
 //
 // Backend resources: the Solver owns one SeaweedEngine (arena reused
 // across requests) and, for the MpcSim backend, one lazily constructed
@@ -196,14 +196,13 @@ struct SolverOptions {
   /// (0 = number of machines). Must be >= 0.
   std::int64_t lis_leaf_classes = 0;
 
-  /// Largest Hunt–Szymanski match count an LCS solve hands to the seaweed
-  /// machinery; groups/requests above it are answered by patience sorting
-  /// on the match sequence instead (identical results — lcs_hs IS patience
-  /// over the matches). Applies uniformly to the Sequential batch grouping
-  /// AND the single-request MpcSim route, which would otherwise throw from
-  /// the engine's size guard instead of degrading. Must be in
-  /// [1, kSeaweedEngineMaxN] (the default; the engine cannot accept more).
-  /// Lower it in tests to exercise the fallback at practical sizes.
+  /// Largest Hunt–Szymanski match count an MpcSim LCS solve hands to the
+  /// cluster; requests above it are answered by patience sorting on the
+  /// match sequence instead (identical results — lcs_hs IS patience over
+  /// the matches, which is how the Sequential routes always answer), so
+  /// the cluster's leaf engines never throw from their size guard. Must be
+  /// in [1, kSeaweedEngineMaxN] (the default; the engine cannot accept
+  /// more). Lower it in tests to exercise the fallback at practical sizes.
   std::int64_t lcs_engine_match_limit = kSeaweedEngineMaxN;
 };
 
@@ -254,9 +253,9 @@ class Solver {
   /// Batched LCS, results in request order. Sequential: requests are
   /// grouped by (t, s) — the Hunt–Szymanski occurrence table is built once
   /// per distinct t, identical (s, t) pairs collapse onto one subproblem,
-  /// and all distinct match-sequence LIS subproblems ride one
-  /// lis_kernel_batch forest pass. Bit-identical to per-request solve().
-  /// MpcSim: per-request solve().
+  /// and patience sorting answers each distinct match sequence, as the
+  /// single route does. Bit-identical to per-request solve(). MpcSim:
+  /// per-request solve().
   std::vector<LcsResult> solve_batch(std::span<const LcsRequest> reqs);
 
   /// Non-throwing solve(): classifies any monge::Error into a SolveStatus

@@ -6,36 +6,24 @@
 // r with P(r) != r, i.e. the points off the main diagonal. Real workloads
 // (near-identical strings through the Hunt–Szymanski reduction, LIS of
 // almost-sorted feeds) produce permutations whose core is a tiny fraction
-// of n, and every operation here costs near the core size instead of n:
+// of n:
 //
 //   * CoreSparsePerm stores only the core points (sorted by row) plus the
 //     implied identity runs between them — O(core) space, lossless
 //     to_dense / from_dense round-trip, O(1) core_size() probe.
-//   * core_sparse_multiply computes PA ⊡ PB via the common-block
-//     decomposition: a boundary m is *clean* for P when P([0,m)) = [0,m),
-//     and boundaries clean for BOTH inputs cut the product into independent
-//     diagonal blocks (the seaweed braid never crosses a clean boundary, so
-//     ⊡ distributes over the direct sum). Blocks where one side restricts
-//     to the identity are copied verbatim (id ⊡ X = X ⊡ id = X); only
-//     blocks where both cores interact pay a dense solve, delegated to the
-//     caller-supplied solver (the SeaweedEngine in production, an O(n^3)
-//     oracle in tests). Total cost O(core_a + core_b) for the decomposition
-//     plus the dense solves over interacting blocks only.
+//   * core_size_of and core_exceeds count the core of a dense row->col
+//     array; core_exceeds stops at the first element past its budget.
 //
-// SeaweedEngine consumes the same decomposition internally (streaming over
-// dense spans in arena scratch, no CoreSparsePerm materialization) when a
-// probed node's density is below SeaweedEngineOptions::core_density_cutoff;
-// this header is the representation-level API for callers that want to
-// hold, inspect or multiply permutations in core-sparse form directly —
-// and the ground truth the engine's streaming path is fuzzed against.
-//
-// The product permutation PA ⊡ PB is mathematically unique, so every path
-// (core-sparse, engine-adaptive, dense reference) is bit-identical on every
-// input; tests/test_core_sparse.cpp enforces that differentially.
+// The core-sparse product itself lives in SeaweedEngine: a probed node
+// whose core density is at or below SeaweedEngineOptions::
+// core_density_cutoff is cut at boundaries clean for both inputs into
+// independent diagonal blocks, streamed over the dense spans in arena
+// scratch. core_exceeds is its density probe. The engine is fuzzed against
+// a core_density_cutoff = 0 engine, which never probes
+// (tests/test_core_sparse.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -118,12 +106,6 @@ class CoreSparsePerm {
                          const CoreSparsePerm&) = default;
 
  private:
-  friend CoreSparsePerm core_sparse_multiply(
-      const CoreSparsePerm& a, const CoreSparsePerm& b,
-      const std::function<void(std::span<const std::int32_t>,
-                               std::span<const std::int32_t>,
-                               std::span<std::int32_t>)>& solve_block);
-
   std::int64_t n_ = 0;
   std::vector<std::int32_t> rows_;
   std::vector<std::int32_t> cols_;
@@ -145,28 +127,5 @@ std::int64_t core_size_of(std::span<const std::int32_t> p);
 ///   since core size >= 0 > limit).
 /// @return whether core_size_of(p) > limit.
 bool core_exceeds(std::span<const std::int32_t> p, std::int64_t limit);
-
-/// Dense solver callback for interacting blocks of core_sparse_multiply:
-/// receives two full permutations of the same (block-local) size and must
-/// write their seaweed product PA ⊡ PB into `out`. Values are 0-based
-/// within the block; `out` never aliases the inputs.
-using DenseBlockSolver = std::function<void(
-    std::span<const std::int32_t> a, std::span<const std::int32_t> b,
-    std::span<std::int32_t> out)>;
-
-/// Core-sparse seaweed product PC = PA ⊡ PB via the common-block
-/// decomposition (see the file comment). Cost: O(core_a + core_b) plus one
-/// `solve_block` call per block where both cores interact — zero dense work
-/// when either input restricts to the identity everywhere.
-///
-/// @param a left operand.
-/// @param b right operand; b.n() must equal a.n().
-/// @param solve_block dense solver for interacting blocks (e.g. one
-///     SeaweedEngine::multiply_batch_into call on a batch of one).
-/// @return the product in core-sparse form; bit-identical (after to_dense)
-///     to the dense engine product for every input.
-CoreSparsePerm core_sparse_multiply(const CoreSparsePerm& a,
-                                    const CoreSparsePerm& b,
-                                    const DenseBlockSolver& solve_block);
 
 }  // namespace monge

@@ -1,7 +1,6 @@
 #include "monge/engine.h"
 
 #include <algorithm>
-#include <map>
 
 #include "monge/core_sparse.h"
 #include "monge/steady_ant_simd.h"
@@ -43,6 +42,7 @@ class Arena {
 
   std::size_t mark() const { return used_; }
   void rewind(std::size_t mark) { used_ = mark; }
+  std::size_t remaining() const { return cap_ - used_; }
 
   Arena carve(std::size_t bytes) {
     MONGE_CHECK_MSG(used_ + bytes <= cap_,
@@ -95,68 +95,86 @@ std::size_t persistent_bytes(std::int64_t m, std::int64_t h) {
          3 * slot_bytes<std::int32_t>(h + 1) + slot_bytes<std::int32_t>(m + h);
 }
 
-/// One top-level call's resolved options plus the per-size arena budget.
-/// `sizes` (owned by the engine, so it persists across calls) is fully
-/// populated for every reachable recursive size by the single-threaded
-/// node_bytes() call at the top level, after which forked workers only
-/// read it via node_bytes_cached().
+/// A size-x node's budget when x <= the base-case cutoff: the dense base
+/// case's three distribution matrices, nothing for x <= 1.
+std::size_t leaf_bytes(std::int64_t x) {
+  return x <= 1 ? 0 : base_case_bytes(x);
+}
+
+/// One top-level call's options and representation counters. Every budget
+/// is a pure function of the size and the options, so a forked worker
+/// computes its own carves and shares nothing with its sibling but the
+/// atomic counters.
 struct Plan {
-  std::int64_t cutoff;
-  std::int64_t grain;
-  ThreadPool* pool;
-  std::map<std::int64_t, std::size_t>& sizes;
-  double core_cutoff;
-  std::int64_t core_min_n;
+  const SeaweedEngineOptions& opt;
   detail::SeaweedRepCounters* rep;
 
+  /// Whether a fork can run on another thread at all.
+  bool pooled() const {
+    return opt.pool != nullptr && opt.pool->thread_count() > 1;
+  }
+
   bool fork(std::int64_t n) const {
-    return pool != nullptr && pool->thread_count() > 1 && n > grain;
+    return pooled() && n > opt.parallel_grain;
   }
 
   /// Whether a size-n node runs the core-density probe (solve_adaptive).
-  /// Upward-closed in n, which keeps node_bytes monotone.
+  /// Upward-closed in n, like fork.
   bool probe(std::int64_t n) const {
-    return core_cutoff > 0 && n >= core_min_n && n > cutoff;
+    return opt.core_density_cutoff > 0 && n >= opt.core_probe_min_n &&
+           n > opt.base_case_cutoff;
   }
 
-  std::size_t node_bytes(std::int64_t n) {
-    if (n <= 1) return 0;
-    if (n <= cutoff) return base_case_bytes(n);
-    if (const auto it = sizes.find(n); it != sizes.end()) return it->second;
-    const std::int64_t m = n / 2;
-    const std::int64_t h = n - m;
-    const std::size_t children = fork(n)
-                                     ? node_bytes(m) + node_bytes(h)
-                                     : std::max(node_bytes(m), node_bytes(h));
+  /// The arena budget of a size-n node. The nodes at depth d of the
+  /// halving tree have size ⌊n/2^d⌋ or ⌊n/2^d⌋ + 1, so the walk starts at
+  /// the first depth where both sizes are base cases and carries the two
+  /// budgets up one level at a time: O(log n), no allocation, no state.
+  // monge-lint: hot
+  std::size_t node_bytes(std::int64_t n) const {
+    if (n <= opt.base_case_cutoff) return leaf_bytes(n);
+    int depth = 1;
+    while ((n >> depth) + 1 > opt.base_case_cutoff) ++depth;
+    std::int64_t k = n >> depth;
+    std::size_t at_k = leaf_bytes(k);
+    std::size_t at_k1 = leaf_bytes(k + 1);
+    for (int d = depth - 1; d >= 1; --d) {
+      const std::int64_t up = n >> d;
+      const std::size_t up_k = split_node_bytes(up, k, at_k, at_k1);
+      at_k1 = split_node_bytes(up + 1, k, at_k, at_k1);
+      at_k = up_k;
+      k = up;
+    }
+    return split_node_bytes(n, k, at_k, at_k1);
+  }
+
+ private:
+  /// The budget of a size-x node whose halves have size k or k + 1, with
+  /// budgets at_k and at_k1. A node's frame is its persistent slots plus
+  /// the largest of its split scratch, its combine scratch and its
+  /// children: the sum of the halves' budgets when it forks (carved side
+  /// by side), else the larger one.
+  // monge-lint: hot
+  std::size_t split_node_bytes(std::int64_t x, std::int64_t k,
+                               std::size_t at_k, std::size_t at_k1) const {
+    if (x <= opt.base_case_cutoff) return leaf_bytes(x);
+    const std::int64_t m = x / 2;
+    const std::int64_t h = x - m;
+    MONGE_DCHECK(m >= k && h <= k + 1);
+    const std::size_t lo = m == k ? at_k : at_k1;
+    const std::size_t hi = h == k ? at_k : at_k1;
+    const std::size_t children = fork(x) ? lo + hi : std::max(lo, hi);
     const std::size_t dense =
         persistent_bytes(m, h) +
-        std::max({split_scratch_bytes(n), combine_scratch_bytes(n), children});
-    // Probed nodes may take the block path, whose worst dense block of size
-    // B < n needs two shifted input copies plus that block's own dense
-    // frame: 2·slot(B) + dense(B) <= 2·slot(n) + dense(n) (both summands
-    // are monotone in the size), so inflating by two size-n slots covers
-    // every decomposition the data can produce.
-    const std::size_t total =
-        probe(n) ? dense + 2 * slot_bytes<std::int32_t>(n) : dense;
-    sizes.emplace(n, total);
-    return total;
-  }
-
-  std::size_t node_bytes_cached(std::int64_t n) const {
-    if (n <= 1) return 0;
-    if (n <= cutoff) return base_case_bytes(n);
-    return sizes.at(n);
-  }
-
-  /// Whether a size-n node forks its halves. The cache holds the sizes a
-  /// top-level call reaches by halving, but a dense block of the core-sparse
-  /// path can have any size, so its halves may be missing; such a node runs
-  /// its halves back-to-back, which needs no more than the forked budget
-  /// (the larger half's, not the sum).
-  bool fork_cached(std::int64_t n) const {
-    const std::int64_t m = n / 2;
-    return fork(n) && (m <= cutoff || sizes.contains(m)) &&
-           (n - m <= cutoff || sizes.contains(n - m));
+        std::max({split_scratch_bytes(x), combine_scratch_bytes(x), children});
+    // Probed nodes may take the block path, whose dense block of size
+    // B < x needs two shifted input copies plus that block's own frame,
+    // 2·slot(B) + dense(B). Two size-x slots cover that wherever dense(B)
+    // <= dense(x), but budgets are not monotone in the size:
+    // base_case_bytes(c) exceeds the budget of c + 1 at the default cutoff,
+    // and sums of halves carry that upward. So mul_rec forks a block only
+    // when both carves fit, and an unforked block can still overflow (the
+    // arena throws rather than corrupt memory).
+    return probe(x) ? dense + 2 * slot_bytes<std::int32_t>(x) : dense;
   }
 };
 
@@ -254,7 +272,7 @@ void mul_rec(std::span<const std::int32_t> a, std::span<const std::int32_t> b,
     out[0] = 0;
     return;
   }
-  if (n <= plan.cutoff) {
+  if (n <= plan.opt.base_case_cutoff) {
     base_case(a, b, out, arena);
     return;
   }
@@ -326,12 +344,18 @@ void mul_rec(std::span<const std::int32_t> a, std::span<const std::int32_t> b,
 
   // Recurse, each child writing its result over its own input; the
   // subproblems are independent, so above the grain size they run
-  // concurrently on disjoint arena slices.
-  if (plan.fork_cached(n)) {
+  // concurrently on disjoint arena slices. A node's budget holds both
+  // carves, but a dense block of the core-sparse path lives inside its
+  // probed parent's budget, which does not always stretch to them (see
+  // split_node_bytes); such a block runs its halves back-to-back.
+  const bool fork = plan.fork(n);
+  const std::size_t lo_bytes = fork ? plan.node_bytes(m) : 0;
+  const std::size_t hi_bytes = fork ? plan.node_bytes(h) : 0;
+  if (fork && lo_bytes + hi_bytes <= arena.remaining()) {
     const std::size_t mark = arena.mark();
-    Arena lo_arena = arena.carve(plan.node_bytes_cached(m));
-    Arena hi_arena = arena.carve(plan.node_bytes_cached(h));
-    plan.pool->invoke_two(
+    Arena lo_arena = arena.carve(lo_bytes);
+    Arena hi_arena = arena.carve(hi_bytes);
+    plan.opt.pool->invoke_two(
         [&] { solve_adaptive(a_lo, b_lo, a_lo, lo_arena, plan); },
         [&] { solve_adaptive(a_hi, b_hi, a_hi, hi_arena, plan); });
     arena.rewind(mark);
@@ -366,15 +390,15 @@ void mul_rec(std::span<const std::int32_t> a, std::span<const std::int32_t> b,
   arena.rewind(frame);
 }
 
-/// The streaming form of the core-sparse block decomposition (the
-/// representation-level version lives in src/monge/core_sparse.h): one
-/// forward pass tracks the running maximum of both inputs' values; at
-/// index i, mx == i means the boundary after i is clean for BOTH inputs —
-/// the seaweed braid never crosses it — closing an independent diagonal
-/// block. Blocks where one input restricts to the identity are copied
-/// verbatim (id ⊡ X = X ⊡ id = X); blocks where both cores interact
-/// recurse densely on shifted arena copies. Returns false without writing
-/// anything when no interior boundary is clean (the node is one
+/// The core-sparse block decomposition of Gorbachev et al. (arXiv
+/// 2408.04613), streamed over dense spans: one forward pass tracks the
+/// running maximum of both inputs' values; at index i, mx == i means the
+/// boundary after i is clean for BOTH inputs — the seaweed braid never
+/// crosses it — closing an independent diagonal block. Blocks where one
+/// input restricts to the identity are copied verbatim (id ⊡ X = X ⊡ id =
+/// X); blocks where both cores interact recurse densely on shifted arena
+/// copies, forking above the grain like any node. Returns false without
+/// writing anything when no interior boundary is clean (the node is one
 /// indivisible block and the caller's dense recursion is the right tool).
 ///
 /// `out` may alias `a`, like mul_rec: at index i every read of a[i]/b[i]
@@ -454,7 +478,7 @@ void solve_adaptive(std::span<const std::int32_t> a,
     // path to be worth trying; the early-exit scan keeps the probe cost
     // O(cutoff·n) on dense inputs.
     const auto limit = static_cast<std::int64_t>(
-        plan.core_cutoff * static_cast<double>(n));
+        plan.opt.core_density_cutoff * static_cast<double>(n));
     if (!core_exceeds(a, limit) && !core_exceeds(b, limit) &&
         core_block_solve(a, b, out, arena, plan)) {
       plan.rep->core_sparse_nodes.fetch_add(1, std::memory_order_relaxed);
@@ -499,15 +523,14 @@ struct EntryCost {
 };
 
 /// The shared batch skeleton: validate + budget every entry up front
-/// (`cost_of(i)`, which must also populate the plan's size cache —
-/// single-threaded, so the striped solvers below only read it), size the
-/// arena ONCE for the whole batch, then solve. With a pool, the entries are
-/// cut into contiguous stripes: a stripe closes once its summed size
-/// reaches the grain, and a tail short of it joins the last stripe, so the
-/// cut depends on the sizes and the grain alone. Each stripe solves its
-/// entries back-to-back in one carved slice sized for its largest entry,
-/// and only stripes fork. A batch of one stripe (or without a pool) solves
-/// back-to-back on one arena sized for the largest entry.
+/// (`cost_of(i)`), size the arena ONCE for the whole batch, then solve.
+/// With a pool, the entries are cut into contiguous stripes: a stripe
+/// closes once its summed size reaches the grain, and a tail short of it
+/// joins the last stripe, so the cut depends on the sizes and the grain
+/// alone. Each stripe solves its entries back-to-back in one carved slice
+/// sized for its largest entry, and only stripes fork. A batch of one
+/// stripe (or without a pool) solves back-to-back on one arena sized for
+/// the largest entry.
 /// `arena_span(bytes)` is the engine's buffer accessor; `solve(i, arena)`
 /// runs entry i. Budgets are 64-byte multiples, so carving preserves
 /// alignment.
@@ -520,8 +543,7 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
   };
   // A batch of one is one stripe by definition: skip the stripe list, so a
   // single product allocates nothing on a pooled engine either.
-  const bool pooled =
-      count > 1 && plan.pool != nullptr && plan.pool->thread_count() > 1;
+  const bool pooled = count > 1 && plan.pooled();
   std::vector<Stripe> stripes;
   std::size_t max_bytes = 0;
   std::int64_t open_size = 0;  // summed size of the last stripe
@@ -529,7 +551,7 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
     const EntryCost cost = cost_of(i);
     max_bytes = std::max(max_bytes, cost.bytes);
     if (!pooled) continue;
-    if (stripes.empty() || open_size >= plan.grain) {
+    if (stripes.empty() || open_size >= plan.opt.parallel_grain) {
       stripes.push_back({i, i, 0});
       open_size = 0;
     }
@@ -537,7 +559,7 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
     stripes.back().bytes = std::max(stripes.back().bytes, cost.bytes);
     open_size += cost.size;
   }
-  if (stripes.size() > 1 && open_size < plan.grain) {
+  if (stripes.size() > 1 && open_size < plan.opt.parallel_grain) {
     const Stripe tail = stripes.back();
     stripes.pop_back();
     stripes.back().end = tail.end;
@@ -560,7 +582,7 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
   std::vector<Arena> slices;
   slices.reserve(stripes.size());
   for (const Stripe& s : stripes) slices.push_back(whole.carve(s.bytes));
-  batch_rec(0, stripes.size(), plan.pool, [&](std::size_t k) {
+  batch_rec(0, stripes.size(), plan.opt.pool, [&](std::size_t k) {
     for (std::size_t i = stripes[k].begin; i < stripes[k].end; ++i) {
       Arena arena = slices[k];  // every entry starts at the slice's base
       solve(i, arena);
@@ -576,8 +598,8 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
 // guarantees capacity.
 // ---------------------------------------------------------------------------
 
-std::size_t subunit_node_bytes(Plan& plan, std::int64_t ra, std::int64_t n2,
-                               std::int64_t b_cols) {
+std::size_t subunit_node_bytes(const Plan& plan, std::int64_t ra,
+                               std::int64_t n2, std::int64_t b_cols) {
   // Arena layout: the padded permutations and the surviving-row/column maps
   // persist across the core solve; the column-occupancy scratch is rewound
   // before it, so the budget takes the max of the two phases. There are at
@@ -730,11 +752,7 @@ RepresentationStats SeaweedEngine::representation_stats() const {
 }
 
 std::size_t SeaweedEngine::arena_bytes_for(std::int64_t n) const {
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
-  return plan.node_bytes(n);
+  return Plan{options_, &rep_counters_}.node_bytes(n);
 }
 
 std::span<std::byte> SeaweedEngine::arena_span(std::size_t bytes) {
@@ -754,10 +772,7 @@ void SeaweedEngine::multiply_batch_into(
     std::span<const std::span<std::int32_t>> outs) {
   MONGE_CHECK(pairs.size() == outs.size());
   if (pairs.empty()) return;
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
+  const Plan plan{options_, &rep_counters_};
   solve_batch(
       pairs.size(), plan, [this](std::size_t bytes) { return arena_span(bytes); },
       [&](std::size_t i) {
@@ -781,10 +796,7 @@ void SeaweedEngine::subunit_multiply_batch_into(
     std::span<const std::span<std::int32_t>> outs) {
   MONGE_CHECK(pairs.size() == outs.size());
   if (!pairs.empty()) {
-    Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-              options_.pool,               size_cache_,
-              options_.core_density_cutoff, options_.core_probe_min_n,
-              &rep_counters_};
+    const Plan plan{options_, &rep_counters_};
     solve_batch(
         pairs.size(), plan,
         [this](std::size_t bytes) { return arena_span(bytes); },

@@ -4,7 +4,10 @@
 // (the same split/compact/combine recursion as seaweed.h) over index ranges
 // into a flat scratch arena that is sized exactly once per top-level call:
 // after the first multiply of a given size the recursion performs zero heap
-// allocations. Below a configurable cutoff it switches to a dense
+// allocations. The budget is a pure function of the size and the knobs,
+// computed in O(log n) wherever it is needed (the top-level sizing, and
+// every fork carving its two halves' slices), so the engine caches
+// nothing between calls. Below a configurable cutoff it switches to a dense
 // distribution-matrix base case (the arena version of multiply_naive), and
 // above a configurable grain size it forks the two independent lo/hi
 // subproblems onto a ThreadPool (fork-join whose join takes back or waits
@@ -60,9 +63,11 @@
 // nodes through a density probe (see core_density_cutoff below). Nodes
 // whose inputs both have core density (fraction of rows with p[r] != r)
 // at or below the cutoff are cut at boundaries clean for both inputs into
-// independent diagonal blocks — the streaming form of the core-sparse
-// decomposition in src/monge/core_sparse.h — where one-sided-identity
-// blocks are copied verbatim and only interacting blocks recurse densely.
+// independent diagonal blocks — the core-sparse decomposition of Gorbachev
+// et al. (arXiv 2408.04613), streamed over the dense spans — where
+// one-sided-identity blocks are copied verbatim and only interacting
+// blocks recurse densely (forking above the grain when the arena left to
+// the block holds both halves' budgets).
 // Near-identical inputs (tiny cores) therefore cost near the core size
 // instead of n log n, while dense random inputs pay only the early-exit
 // probe. An engine constructed with core_density_cutoff = 0 never probes
@@ -79,7 +84,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -120,7 +124,7 @@ struct SeaweedEngineOptions {
   /// the budget is blown). When BOTH densities are <= the cutoff, the node
   /// is cut at boundaries clean for both inputs into independent diagonal
   /// blocks: one-sided-identity blocks are copied, only interacting blocks
-  /// recurse densely (src/monge/core_sparse.h documents the decomposition).
+  /// recurse densely (the file comment names the decomposition).
   /// Must be in [0, 1]; 0 disables probing entirely, which makes the
   /// engine the pure dense differential oracle. Like every knob it never
   /// affects results — only which path computes them and how fast.
@@ -307,7 +311,8 @@ class SeaweedEngine {
   std::size_t arena_capacity() const { return buffer_.size(); }
 
   /// Exact number of scratch bytes a full-permutation multiply of size n
-  /// will reserve (memoized; for tests and benchmarks).
+  /// will reserve (for tests and benchmarks). A pure function of n and
+  /// options(): O(log n), no allocation, no state.
   ///
   /// @param n problem size (rows of PA).
   /// @return the arena budget in bytes for one size-n core solve.
@@ -325,10 +330,6 @@ class SeaweedEngine {
   /// does not change observable products, and incremented from forked
   /// workers during a call (hence atomics — see detail::SeaweedRepCounters).
   mutable detail::SeaweedRepCounters rep_counters_;
-  /// Per-size arena budgets, memoized across calls (options are fixed at
-  /// construction, so entries never go stale). Mutated only by the owning
-  /// thread; forked workers read it through a const Plan.
-  mutable std::map<std::int64_t, std::size_t> size_cache_;
 };
 
 }  // namespace monge

@@ -1,11 +1,10 @@
-// The representation-layer battery: CoreSparsePerm converters, the
-// core-sparse multiply vs. the dense engine oracle, the engine's
-// density-adaptive dispatch (including batch/subunit entry points and
-// thread-count determinism), and the Solver threading of the knob and the
-// per-solve representation counters. Every multiply here is differential:
-// the product permutation is mathematically unique, so the core-sparse
-// paths must be bit-identical to a cutoff-0 (pure dense) engine on every
-// input — the PR 2/4 oracle harness style.
+// The representation-layer battery: CoreSparsePerm converters and density
+// probes, the engine's density-adaptive dispatch and its block split
+// (including batch/subunit entry points and thread-count determinism), and
+// the Solver threading of the knob and the per-solve representation
+// counters. Every multiply here is differential: the product permutation
+// is mathematically unique, so the core-sparse paths must be bit-identical
+// to a cutoff-0 (pure dense) engine on every input.
 //
 // All suites are named CoreSparse* so the
 // monge_tests_core_sparse_shuffled_stress ctest entry and the sanitizer CI
@@ -83,13 +82,6 @@ std::vector<std::int32_t> reverse_perm(std::int64_t n) {
 SeaweedEngine& oracle_engine() {
   static SeaweedEngine engine({.core_density_cutoff = 0.0});
   return engine;
-}
-
-DenseBlockSolver oracle_block_solver() {
-  return [](std::span<const std::int32_t> a, std::span<const std::int32_t> b,
-            std::span<std::int32_t> out) {
-    engine_multiply(oracle_engine(), a, b, out);
-  };
 }
 
 // ---------------------------------------------------------------------------
@@ -213,137 +205,6 @@ TEST(CoreSparsePerm, PermCoreHelpersCountOffIdentityRows) {
 }
 
 // ---------------------------------------------------------------------------
-// core_sparse_multiply vs. the dense oracle.
-// ---------------------------------------------------------------------------
-
-TEST(CoreSparseMultiply, ExhaustiveSmallPermutations) {
-  for (int n = 0; n <= 5; ++n) {
-    const auto perms = all_permutations(n);
-    for (const auto& pa : perms) {
-      for (const auto& pb : perms) {
-        const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(pa),
-                                              CoreSparsePerm::from_dense(pb),
-                                              oracle_block_solver());
-        ASSERT_EQ(got.to_dense(), engine_multiply(oracle_engine(), pa, pb))
-            << "n=" << n;
-      }
-    }
-  }
-}
-
-// The headline differential fuzz: >= 1000 cases over random, near-identity,
-// block-shuffled and adversarial dense-core shapes (plus n = 0/1 above).
-TEST(CoreSparseMultiply, MatchesDenseOracleFuzz) {
-  Rng rng(20260808);
-  int cases = 0;
-  const auto check = [&](const std::vector<std::int32_t>& a,
-                         const std::vector<std::int32_t>& b) {
-    const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
-                                          CoreSparsePerm::from_dense(b),
-                                          oracle_block_solver());
-    ASSERT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b))
-        << "n=" << a.size();
-    ++cases;
-  };
-  for (const std::int64_t n : {2, 3, 5, 16, 17, 33, 64, 100, 129, 256}) {
-    const auto shapes = [&](int which) -> std::vector<std::int32_t> {
-      switch (which % 5) {
-        case 0:
-          return rng.permutation(n);
-        case 1:
-          return near_identity_perm(n, 1, std::min<std::int64_t>(n, 4), rng);
-        case 2:
-          return near_identity_perm(n, 3, std::min<std::int64_t>(n, 8), rng);
-        case 3:
-          return long_swap_perm(n);
-        default:
-          return n > 1 && rng.next_below(2) == 0 ? reverse_perm(n)
-                                                 : identity_raw(n);
-      }
-    };
-    for (int rep = 0; rep < 95; ++rep) {
-      check(shapes(rep), shapes(rep + rng.next_below(5)));
-    }
-  }
-  // Identity absorption: id ⊡ X == X == X ⊡ id, with zero dense blocks.
-  for (int rep = 0; rep < 60; ++rep) {
-    const std::int64_t n = 1 + rng.next_below(128);
-    const auto x = rng.permutation(n);
-    int dense_calls = 0;
-    const DenseBlockSolver counting =
-        [&](std::span<const std::int32_t> a, std::span<const std::int32_t> b,
-            std::span<std::int32_t> out) {
-          ++dense_calls;
-          engine_multiply(oracle_engine(), a, b, out);
-        };
-    const auto sx = CoreSparsePerm::from_dense(x);
-    const auto id = CoreSparsePerm::identity(n);
-    EXPECT_EQ(core_sparse_multiply(id, sx, counting).to_dense(), x);
-    EXPECT_EQ(core_sparse_multiply(sx, id, counting).to_dense(), x);
-    EXPECT_EQ(dense_calls, 0);
-    cases += 2;
-  }
-  EXPECT_GE(cases, 1000) << "differential battery shrank below the floor";
-}
-
-TEST(CoreSparseMultiply, DisjointCoresNeverPayADenseSolve) {
-  // a's core lives in [0, 8), b's in [24, 32): every block is one-sided,
-  // so the callback must never fire and the product is the overlay.
-  Rng rng(99);
-  auto a = identity_raw(32);
-  shuffle_window(a, 0, 8, rng);
-  auto b = identity_raw(32);
-  shuffle_window(b, 24, 8, rng);
-  int dense_calls = 0;
-  const DenseBlockSolver counting =
-      [&](std::span<const std::int32_t> da, std::span<const std::int32_t> db,
-          std::span<std::int32_t> out) {
-        ++dense_calls;
-        engine_multiply(oracle_engine(), da, db, out);
-      };
-  const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
-                                        CoreSparsePerm::from_dense(b),
-                                        counting);
-  EXPECT_EQ(dense_calls, 0);
-  EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
-}
-
-TEST(CoreSparseMultiply, InteractingClustersPayOneBlockEach) {
-  // Both cores perturb the same two windows; everything else is identity,
-  // so exactly the two shared windows reach the dense solver, each as a
-  // block no larger than the window.
-  Rng rng(7);
-  auto a = identity_raw(256);
-  auto b = identity_raw(256);
-  for (const std::int64_t start : {std::int64_t{10}, std::int64_t{200}}) {
-    shuffle_window(a, start, 8, rng);
-    shuffle_window(b, start, 8, rng);
-  }
-  int dense_calls = 0;
-  std::size_t max_block = 0;
-  const DenseBlockSolver counting =
-      [&](std::span<const std::int32_t> da, std::span<const std::int32_t> db,
-          std::span<std::int32_t> out) {
-        ++dense_calls;
-        max_block = std::max(max_block, da.size());
-        engine_multiply(oracle_engine(), da, db, out);
-      };
-  const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
-                                        CoreSparsePerm::from_dense(b),
-                                        counting);
-  EXPECT_LE(dense_calls, 2);
-  EXPECT_LE(max_block, 8u);
-  EXPECT_EQ(got.to_dense(), engine_multiply(oracle_engine(), a, b));
-}
-
-TEST(CoreSparseMultiply, SizeMismatchThrows) {
-  EXPECT_THROW(core_sparse_multiply(CoreSparsePerm::identity(3),
-                                    CoreSparsePerm::identity(4),
-                                    oracle_block_solver()),
-               std::logic_error);
-}
-
-// ---------------------------------------------------------------------------
 // The engine's density-adaptive dispatch.
 // ---------------------------------------------------------------------------
 
@@ -362,6 +223,65 @@ TEST(CoreSparseEngine, RejectsOutOfRangeOptions) {
   const SeaweedEngine max({.core_density_cutoff = 1.0, .core_probe_min_n = 2});
   EXPECT_EQ(max.options().core_density_cutoff, 1.0);
   EXPECT_EQ(max.options().core_probe_min_n, 2);
+}
+
+// Every pair of permutations with n <= 5 through the block split at every
+// node: the pure recursion (cutoff 1) probes from n = 2 and takes the
+// block path whenever a boundary is clean for both inputs.
+TEST(CoreSparseEngine, ExhaustiveSmallPermutations) {
+  SeaweedEngine aggressive({.base_case_cutoff = 1,
+                            .core_density_cutoff = 1.0,
+                            .core_probe_min_n = 2});
+  for (int n = 0; n <= 5; ++n) {
+    const auto perms = all_permutations(n);
+    for (const auto& pa : perms) {
+      for (const auto& pb : perms) {
+        ASSERT_EQ(engine_multiply(aggressive, pa, pb),
+                  engine_multiply(oracle_engine(), pa, pb))
+            << "n=" << n;
+      }
+    }
+  }
+  EXPECT_GT(aggressive.representation_stats().core_sparse_nodes, 0);
+}
+
+TEST(CoreSparseEngine, DisjointCoresNeverPayADenseBlock) {
+  // a's core lives in [0, 8), b's in [24, 32): every block is one-sided,
+  // so the root's split copies them all and the product is the overlay.
+  Rng rng(99);
+  auto a = identity_raw(32);
+  shuffle_window(a, 0, 8, rng);
+  auto b = identity_raw(32);
+  shuffle_window(b, 24, 8, rng);
+  SeaweedEngine engine({.core_density_cutoff = 1.0, .core_probe_min_n = 2});
+  const auto before = engine.representation_stats();
+  EXPECT_EQ(engine_multiply(engine, a, b),
+            engine_multiply(oracle_engine(), a, b));
+  const auto delta = engine.representation_stats() - before;
+  EXPECT_EQ(delta.core_sparse_nodes, 1);
+  EXPECT_EQ(delta.blocks_dense, 0);
+  EXPECT_GT(delta.blocks_copied, 0);
+}
+
+TEST(CoreSparseEngine, InteractingClustersPayOneBlockEach) {
+  // Both cores perturb the same two windows; everything else is identity,
+  // so at most the two shared windows pay a dense solve. With the default
+  // probe minimum only the root (n = 256) probes.
+  Rng rng(7);
+  auto a = identity_raw(256);
+  auto b = identity_raw(256);
+  for (const std::int64_t start : {std::int64_t{10}, std::int64_t{200}}) {
+    shuffle_window(a, start, 8, rng);
+    shuffle_window(b, start, 8, rng);
+  }
+  SeaweedEngine engine;
+  const auto before = engine.representation_stats();
+  EXPECT_EQ(engine_multiply(engine, a, b),
+            engine_multiply(oracle_engine(), a, b));
+  const auto delta = engine.representation_stats() - before;
+  EXPECT_EQ(delta.core_sparse_nodes, 1);
+  EXPECT_LE(delta.blocks_dense, 2);
+  EXPECT_GT(delta.blocks_copied, 0);
 }
 
 // The adaptive engine vs. the cutoff-0 oracle across every shape family
@@ -618,8 +538,8 @@ TEST(CoreSparseSolver, LcsMatchLimitValidation) {
 }
 
 TEST(CoreSparseSolver, LcsMatchLimitAlignsSingleAndBatchAcrossBackends) {
-  // Requests straddling the limit: fallback groups and engine groups must
-  // produce identical answers on every route, single or batched.
+  // Requests straddling the limit must produce identical answers on every
+  // route, single or batched.
   std::vector<LcsRequest> reqs;
   reqs.push_back({.s = {1, 2, 3, 4, 5, 6}, .t = {1, 2, 3, 4, 5, 6}});
   reqs.push_back({.s = {1, 1, 2, 2}, .t = {1, 2, 1, 2}});  // 8 matches

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <numeric>
 
 #include "monge/distribution.h"
@@ -151,6 +152,38 @@ TEST(SeaweedEngine, RejectsOversizeInputs) {
   EXPECT_EQ(engine_subunit_multiply(engine, a, b, 2), a);
 }
 
+// Budgets computed from the size and the knobs alone, pinned at sizes
+// around the base cutoff, the probe minimum and the grain, where the two
+// halves of a node differ in size. The values were read from the library
+// that cached budgets per size; any change to the formula shows here.
+TEST(SeaweedEngine, ArenaBudgetsMatchParent) {
+  constexpr std::int64_t kSizes[] = {9, 63, 65, 1023, 1025, 8193, 65537};
+  ThreadPool pool(3);
+  const struct {
+    const char* name;
+    SeaweedEngineOptions options;
+    std::size_t bytes[std::size(kSizes)];
+  } kTable[] = {
+      {"default", {}, {1024, 3712, 4736, 51840, 53120, 398912, 3153152}},
+      {"pool 3, grain 64",
+       {.parallel_grain = 64, .pool = &pool},
+       {1024, 3712, 7232, 173248, 178304, 1994432, 20648192}},
+      {"core_density_cutoff 0",
+       {.core_density_cutoff = 0.0},
+       {1024, 3712, 4096, 35968, 36608, 267328, 2103680}},
+      {"base_case_cutoff 1",
+       {.base_case_cutoff = 1},
+       {1984, 4096, 5568, 52224, 53952, 399744, 3153984}},
+  };
+  for (const auto& row : kTable) {
+    const SeaweedEngine engine(row.options);
+    for (std::size_t i = 0; i < std::size(kSizes); ++i) {
+      EXPECT_EQ(engine.arena_bytes_for(kSizes[i]), row.bytes[i])
+          << row.name << " n=" << kSizes[i];
+    }
+  }
+}
+
 // The arena is sized once: repeating a multiply of the same (or smaller)
 // size must not grow the buffer.
 TEST(SeaweedEngine, ArenaIsReusedAcrossCalls) {
@@ -204,10 +237,10 @@ TEST(SeaweedEngine, DeterministicUnderThreadCounts) {
   }
 }
 
-// A core-sparse node's dense block can have any size, so the budgets of
-// its halves may be missing from the size cache: a pooled engine must run
-// such a block's halves back-to-back instead of failing the lookup. Here
-// one shuffled window of 300 sits in a nearly identical n = 2048 pair.
+// A core-sparse node's dense block can have any size, and a pooled engine
+// forks it above the grain like any other node, computing both halves'
+// budgets on the spot. Here one shuffled window of 300 sits in a nearly
+// identical n = 2048 pair.
 TEST(SeaweedEngine, PooledDenseBlockAboveGrainMatchesSequential) {
   Rng rng(8);
   const std::int64_t n = 2048;
@@ -228,6 +261,26 @@ TEST(SeaweedEngine, PooledDenseBlockAboveGrainMatchesSequential) {
   const auto delta = pooled.representation_stats() - before;
   EXPECT_EQ(delta, sequential.representation_stats());
   EXPECT_GT(delta.blocks_dense, 0);
+}
+
+// Budgets are not monotone near the base cutoff: at n = 71 the probed
+// root's budget holds a 66-row dense block's frame only when the block's
+// halves run back-to-back, not both carved for a fork. Such a block must
+// run unforked, with the sequential engine's product and counters.
+TEST(SeaweedEngine, PooledBlockTooTightToForkMatchesSequential) {
+  const std::int64_t n = 71;
+  std::vector<std::int32_t> a(static_cast<std::size_t>(n));
+  std::iota(a.begin(), a.end(), 0);
+  std::vector<std::int32_t> b = a;
+  std::swap(a[0], a[65]);  // one block of rows [0, 66), both cores inside
+  std::swap(b[1], b[2]);
+  ThreadPool pool(3);
+  SeaweedEngine pooled({.parallel_grain = 64, .pool = &pool});
+  SeaweedEngine sequential;
+  EXPECT_EQ(engine_multiply(pooled, a, b), engine_multiply(sequential, a, b));
+  const auto rep = pooled.representation_stats();
+  EXPECT_EQ(rep, sequential.representation_stats());
+  EXPECT_EQ(rep.blocks_dense, 1);
 }
 
 // Nested invoke_two from pool workers must not deadlock even when the

@@ -381,8 +381,8 @@ TEST(SolverLcs, ReferenceAndSequentialReportIdenticalMatches) {
 }
 
 TEST(SolverLcs, BatchBitIdenticalToPerRequestSolveAllBackends) {
-  // The Sequential batch fast path groups by (t, s) and shares occurrence
-  // tables and one lis_kernel_batch pass; it must stay bit-identical to
+  // The Sequential batch fast path groups by (t, s), shares occurrence
+  // tables and answers each group once; it must stay bit-identical to
   // the per-call loop. Duplicates and shared-t requests stress the
   // grouping; the empty pair stresses the zero-match path.
   Rng rng(32);
