@@ -1,6 +1,6 @@
 #include "lis/kernel.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "monge/engine.h"
 #include "util/check.h"
@@ -62,188 +62,123 @@ std::vector<std::int32_t> kernel_rec(const std::vector<std::int32_t>& p,
 }
 
 // ---------------------------------------------------------------------------
-// Level-order builder. The value-split tree of every input is a STATIC
-// structure (node sizes split floor/ceil independently of the data), so it
-// is materialized once as bare topology — parent/children/depth per value
-// interval, leaves = the full leaf partition — and each element carries one
-// cursor to the node whose kernel currently represents it. The merges then
-// run bottom-up by depth: one O(n) sweep over the elements in original
-// position order recovers every merging node's lo/hi position ranks (the
-// sweep order IS the node-local order), the level's (A, B) embedding pairs
-// are built from the child kernels, and the whole level issues ONE
+// Level-order builder over flat arrays. The value-split tree of every input
+// is a STATIC structure (node sizes split floor/ceil independently of the
+// data), so the builder lists every input's internal nodes once, top-down
+// and grouped by depth, each as a value range [lo, hi) of the inputs'
+// concatenated value space split at mid = lo + (hi - lo) / 2 exactly as
+// kernel_rec splits. Everything a node owns lives in its own segment
+// [lo, hi) of a few flat arrays of the batch's total size:
+//   * pos: the node's elements' positions in increasing order. Two arrays
+//     alternate between levels, and both start as the inverse permutation,
+//     so a size-1 child's list is its value's position and needs no case.
+//   * kernel: the node's kernel in node-local position ranks, kNone on
+//     size-1 leaves. One array serves every level: a node reads its
+//     children's kernels from its own segment before the engine overwrites
+//     that segment with its product.
+//   * a, b: the node's (A, B) embedding pair.
+// The merges run deepest level first. Each node merges its two children's
+// position lists; the rank each child element takes in that merge is
+// kernel_rec's lo_pos / hi_pos, stored over the child list it was read
+// from (which no later level reads). From those ranks and the children's
+// kernels the node writes its embedding, and the whole level issues ONE
 // SeaweedEngine::subunit_multiply_batch_into call — sharing a single arena
-// sizing and striping across the engine's pool. Auxiliary memory stays
-// O(n) (topology + cursors + one level's embeddings); the merge arrays are
-// exactly kernel_rec's and the engine batch is bit-identical to
-// kernel_rec's batches of one, so the kernels match the reference bit for
-// bit.
+// sizing and striping across the engine's pool — that writes each product
+// into its node's kernel segment. Every batch carries kernel_rec's (A, B)
+// pairs, so the kernels match the reference bit for bit.
 // ---------------------------------------------------------------------------
 
-/// One node of the value-split forest: topology plus the bottom-up kernel.
-/// `kernel` is in node-local coordinates (position ranks within the node);
-/// it is filled when the node merges (or at leaf creation) and released
-/// once the parent consumed it.
-struct SplitNode {
-  std::int32_t parent = -1;
-  std::int32_t lo = -1, hi = -1;  // children; -1 on leaves (size 1)
-  std::int32_t depth = 0;
-  std::vector<std::int32_t> kernel;
+/// One internal node of the value-split forest: the value range [lo, hi)
+/// of the batch's concatenated value space, size >= 2.
+struct SplitRange {
+  std::int32_t lo, hi;
+  std::int32_t mid() const { return lo + (hi - lo) / 2; }
 };
 
-/// One merge of the current level: the parent node and its children's
-/// node-local position ranks (lo_pos/hi_pos), recovered by the element
-/// sweep.
-struct LevelMerge {
-  std::int32_t node;
-  std::vector<std::int32_t> lo_pos, hi_pos;
-};
+/// Kernels (raw row->col arrays) of all inputs, concatenated in input
+/// order, one batched engine call per merge level of the forest. Validates
+/// every input while it scatters the inverse permutation.
+std::vector<std::int32_t> kernel_forest(std::span<const PermView> perms,
+                                        SeaweedEngine& engine) {
+  std::size_t total = 0;
+  for (const PermView p : perms) total += p.size();
+  MONGE_CHECK_MSG(total <= static_cast<std::size_t>(INT32_MAX),
+                  "lis kernel batch of " << total
+                                         << " elements exceeds a 32-bit index");
 
-/// Kernels (raw row->col arrays) of all inputs, one batched engine call per
-/// merge level of the forest.
-std::vector<std::vector<std::int32_t>> kernel_forest(
-    std::span<const std::vector<std::int32_t>> perms, SeaweedEngine& engine) {
-  std::vector<SplitNode> nodes;
-  std::vector<std::int32_t> roots(perms.size(), -1);
-  // elem_node[t][g]: the node whose kernel currently represents element g
-  // (original position order); starts at g's leaf, hoisted to the parent as
-  // merges consume it.
-  std::vector<std::vector<std::int32_t>> elem_node(perms.size());
-  std::int32_t max_depth = 0;
-
-  // Build the static topology per input: split the value interval
-  // [vlo, vhi) at vlo + size/2 (kernel_rec's mid) until single values; a
-  // size-1 leaf's kernel is the empty point set ({kNone}).
-  for (std::size_t t = 0; t < perms.size(); ++t) {
-    const auto n = static_cast<std::int64_t>(perms[t].size());
-    if (n == 0) continue;  // empty input: empty kernel, no nodes
-    std::vector<std::int32_t> leaf_of_value(static_cast<std::size_t>(n));
-    struct Range {
-      std::int64_t vlo, vhi;
-      std::int32_t parent;
-      bool is_lo;
-    };
-    std::vector<Range> stack{{0, n, -1, false}};
-    while (!stack.empty()) {
-      const Range r = stack.back();
-      stack.pop_back();
-      const auto id = static_cast<std::int32_t>(nodes.size());
-      SplitNode node;
-      node.parent = r.parent;
-      node.depth =
-          r.parent < 0
-              ? 0
-              : nodes[static_cast<std::size_t>(r.parent)].depth + 1;
-      max_depth = std::max(max_depth, node.depth);
-      if (r.parent >= 0) {
-        (r.is_lo ? nodes[static_cast<std::size_t>(r.parent)].lo
-                 : nodes[static_cast<std::size_t>(r.parent)].hi) = id;
-      } else {
-        roots[t] = id;
-      }
-      if (r.vhi - r.vlo == 1) {
-        node.kernel.assign(1, kNone);
-        leaf_of_value[static_cast<std::size_t>(r.vlo)] = id;
-      } else {
-        const std::int64_t vmid = r.vlo + (r.vhi - r.vlo) / 2;
-        // Push hi first so the lo child gets the smaller node id (matches
-        // kernel_rec's recursion order; ids are otherwise arbitrary).
-        stack.push_back({vmid, r.vhi, id, false});
-        stack.push_back({r.vlo, vmid, id, true});
-      }
-      nodes.push_back(std::move(node));
+  // Input t owns the value and position range [off_t, off_t + n_t). Each
+  // input of size >= 2 roots one node, and the nodes are listed level by
+  // level, each level's children in their parents' order.
+  std::vector<std::int32_t> pos0(total, kNone);
+  std::vector<SplitRange> nodes;
+  nodes.reserve(total);
+  std::int32_t off = 0;
+  for (const PermView p : perms) {
+    const auto n = static_cast<std::int32_t>(p.size());
+    for (std::int32_t i = 0; i < n; ++i) {
+      const std::int32_t v = p[static_cast<std::size_t>(i)];
+      MONGE_CHECK_MSG(v >= 0 && v < n &&
+                          pos0[static_cast<std::size_t>(off + v)] == kNone,
+                      "lis_kernel requires a permutation of [0, n)");
+      pos0[static_cast<std::size_t>(off + v)] = off + i;
     }
-    elem_node[t].reserve(static_cast<std::size_t>(n));
-    for (const std::int32_t v : perms[t]) {
-      elem_node[t].push_back(leaf_of_value[static_cast<std::size_t>(v)]);
+    if (n >= 2) nodes.push_back({off, off + n});
+    off += n;
+  }
+  std::vector<std::size_t> level_begin{0};
+  while (level_begin.back() < nodes.size()) {
+    const std::size_t begin = level_begin.back();
+    level_begin.push_back(nodes.size());
+    for (std::size_t i = begin; i < level_begin.back(); ++i) {
+      const SplitRange node = nodes[i];
+      if (node.mid() - node.lo >= 2) nodes.push_back({node.lo, node.mid()});
+      if (node.hi - node.mid() >= 2) nodes.push_back({node.mid(), node.hi});
     }
   }
 
-  // Bottom-up: children live one level below their parent, so sweeping the
-  // depths deepest-first has every merge's inputs ready. merge_of[] is a
-  // per-node slot reused across levels; only touched entries are reset.
-  std::vector<std::int32_t> merge_of(nodes.size(), -1);
-  for (std::int32_t d = max_depth - 1; d >= 0; --d) {
-    // Element sweep in original position order: an element participates in
-    // this level iff its current node's parent sits at depth d. Visit
-    // order within a node is its node-local position order, so the
-    // running lo/hi counts are exactly kernel_rec's lo_pos / hi_pos ranks.
-    std::vector<LevelMerge> merges;
-    for (std::size_t t = 0; t < perms.size(); ++t) {
-      for (std::int32_t& nd : elem_node[t]) {
-        const std::int32_t pd = nodes[static_cast<std::size_t>(nd)].parent;
-        if (pd < 0 || nodes[static_cast<std::size_t>(pd)].depth != d) continue;
-        std::int32_t mi = merge_of[static_cast<std::size_t>(pd)];
-        if (mi < 0) {
-          mi = static_cast<std::int32_t>(merges.size());
-          merge_of[static_cast<std::size_t>(pd)] = mi;
-          merges.push_back({pd, {}, {}});
-        }
-        LevelMerge& mg = merges[static_cast<std::size_t>(mi)];
-        const auto i = static_cast<std::int32_t>(mg.lo_pos.size() +
-                                                 mg.hi_pos.size());
-        (nd == nodes[static_cast<std::size_t>(pd)].lo ? mg.lo_pos : mg.hi_pos)
-            .push_back(i);
-        nd = pd;  // hoist the cursor; membership is recorded
+  std::vector<std::int32_t> pos1(pos0);
+  std::vector<std::int32_t> kernel(total, kNone), a(total), b(total);
+  std::int32_t* const k = kernel.data();
+  std::vector<SubunitPairView> views;
+  std::vector<std::span<std::int32_t>> outs;
+  for (std::size_t d = level_begin.size() - 1; d-- > 0;) {
+    // Level d merges into `pos`; its children's lists are in the array the
+    // level below merged into, and become their merged ranks here.
+    std::int32_t* const pos = (d % 2 == 0 ? pos0 : pos1).data();
+    std::int32_t* const rank = (d % 2 == 0 ? pos1 : pos0).data();
+    views.clear();
+    outs.clear();
+    for (std::size_t i = level_begin[d]; i < level_begin[d + 1]; ++i) {
+      const std::int32_t lo = nodes[i].lo, mid = nodes[i].mid(),
+                         hi = nodes[i].hi;
+      std::int32_t x = lo, y = mid, r = 0;
+      for (; x < mid && y < hi; ++r) {
+        std::int32_t& src = rank[x] < rank[y] ? rank[x++] : rank[y++];
+        pos[lo + r] = std::exchange(src, r);
       }
-    }
-    if (merges.empty()) continue;
+      for (; x < mid; ++r, ++x) pos[lo + r] = std::exchange(rank[x], r);
+      for (; y < hi; ++r, ++y) pos[lo + r] = std::exchange(rank[y], r);
 
-    // Embed: A = K_lo at lo positions + identity at hi positions;
-    //        B = identity at lo positions + K_hi at hi positions —
-    // the same arrays kernel_rec builds per merge.
-    std::vector<std::vector<std::int32_t>> ab;  // a, b interleaved per merge
-    ab.reserve(2 * merges.size());
-    for (const LevelMerge& mg : merges) {
-      merge_of[static_cast<std::size_t>(mg.node)] = -1;
-      const SplitNode& node = nodes[static_cast<std::size_t>(mg.node)];
-      const std::size_t n = mg.lo_pos.size() + mg.hi_pos.size();
-      std::vector<std::int32_t> a(n, kNone), b(n, kNone);
-      const auto& k_lo = nodes[static_cast<std::size_t>(node.lo)].kernel;
-      const auto& k_hi = nodes[static_cast<std::size_t>(node.hi)].kernel;
-      for (std::size_t i = 0; i < k_lo.size(); ++i) {
-        if (k_lo[i] != kNone) {
-          a[static_cast<std::size_t>(mg.lo_pos[i])] =
-              mg.lo_pos[static_cast<std::size_t>(k_lo[i])];
-        }
+      // Embed: A = K_lo at lo ranks + identity at hi ranks;
+      //        B = identity at lo ranks + K_hi at hi ranks —
+      // the same arrays kernel_rec builds per merge.
+      std::int32_t* const na = a.data() + lo;
+      std::int32_t* const nb = b.data() + lo;
+      for (std::int32_t e = lo; e < mid; ++e) {
+        na[rank[e]] = k[e] == kNone ? kNone : rank[lo + k[e]];
+        nb[rank[e]] = rank[e];
       }
-      for (std::int32_t pos : mg.hi_pos) a[static_cast<std::size_t>(pos)] = pos;
-      for (std::int32_t pos : mg.lo_pos) b[static_cast<std::size_t>(pos)] = pos;
-      for (std::size_t i = 0; i < k_hi.size(); ++i) {
-        if (k_hi[i] != kNone) {
-          b[static_cast<std::size_t>(mg.hi_pos[i])] =
-              mg.hi_pos[static_cast<std::size_t>(k_hi[i])];
-        }
+      for (std::int32_t e = mid; e < hi; ++e) {
+        na[rank[e]] = rank[e];
+        nb[rank[e]] = k[e] == kNone ? kNone : rank[mid + k[e]];
       }
-      ab.push_back(std::move(a));
-      ab.push_back(std::move(b));
-    }
-
-    std::vector<SubunitPairView> views;
-    std::vector<std::span<std::int32_t>> outs;
-    views.reserve(merges.size());
-    outs.reserve(merges.size());
-    for (std::size_t i = 0; i < merges.size(); ++i) {
-      SplitNode& node = nodes[static_cast<std::size_t>(merges[i].node)];
-      const auto n = static_cast<std::int64_t>(ab[2 * i].size());
-      views.push_back({ab[2 * i], ab[2 * i + 1], n});
-      node.kernel.resize(static_cast<std::size_t>(n));
-      outs.push_back(node.kernel);
+      const auto size = static_cast<std::size_t>(hi - lo);
+      views.push_back({{na, size}, {nb, size}, hi - lo});
+      outs.emplace_back(k + lo, size);
     }
     engine.subunit_multiply_batch_into(views, outs);
-    for (const LevelMerge& mg : merges) {
-      const SplitNode& node = nodes[static_cast<std::size_t>(mg.node)];
-      nodes[static_cast<std::size_t>(node.lo)].kernel = {};
-      nodes[static_cast<std::size_t>(node.hi)].kernel = {};
-    }
   }
-
-  std::vector<std::vector<std::int32_t>> out(perms.size());
-  for (std::size_t t = 0; t < perms.size(); ++t) {
-    if (roots[t] >= 0) {
-      out[t] = std::move(nodes[static_cast<std::size_t>(roots[t])].kernel);
-    }
-  }
-  return out;
+  return kernel;
 }
 
 void check_permutation(std::span<const std::int32_t> p) {
@@ -259,22 +194,22 @@ void check_permutation(std::span<const std::int32_t> p) {
 }  // namespace
 
 Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine) {
-  check_permutation(perm);
-  const std::vector<std::int32_t> p(perm.begin(), perm.end());
-  auto kernels = kernel_forest({&p, 1}, engine);
-  return Perm::from_rows(std::move(kernels[0]),
+  return Perm::from_rows(kernel_forest({&perm, 1}, engine),
                          static_cast<std::int64_t>(perm.size()));
 }
 
 std::vector<Perm> lis_kernel_batch(
     std::span<const std::vector<std::int32_t>> perms, SeaweedEngine& engine) {
-  for (const auto& p : perms) check_permutation(p);
-  auto kernels = kernel_forest(perms, engine);
+  const std::vector<PermView> views(perms.begin(), perms.end());
+  const std::vector<std::int32_t> kernels = kernel_forest(views, engine);
   std::vector<Perm> out;
   out.reserve(perms.size());
-  for (std::size_t t = 0; t < perms.size(); ++t) {
-    out.push_back(Perm::from_rows(std::move(kernels[t]),
-                                  static_cast<std::int64_t>(perms[t].size())));
+  auto next = kernels.begin();
+  for (const auto& p : perms) {
+    const auto n = static_cast<std::ptrdiff_t>(p.size());
+    out.push_back(
+        Perm::from_rows(std::vector<std::int32_t>(next, next + n), n));
+    next += n;
   }
   return out;
 }

@@ -13,8 +13,9 @@
 // the MPC algorithm is one batched ⊡.
 //
 // The builder walks that tree bottom-up in LEVEL ORDER, not depth-first:
-// the permutation is split into the full leaf partition once, then every
-// merge level issues ONE batched engine call
+// the tree's nodes are listed once as value ranges, each node merges its
+// children's position-sorted lists into the ranks that embed their
+// kernels, and every merge level issues ONE batched engine call
 // (SeaweedEngine::subunit_multiply_batch_into) covering all of the level's
 // (A, B) embedding pairs — O(log n) engine calls total, each sharing a
 // single arena sizing and striping across the engine's pool when one is
@@ -46,7 +47,12 @@ namespace monge::lis {
 /// Sequential kernel of a permutation (O(n log^2 n)). Level-order: one
 /// batched subunit-Monge product per merge level, run on the caller's
 /// engine (reusing its arena, and striping the level across its thread
-/// pool if one is configured). Deterministic for every thread count and
+/// pool if one is configured). Each level's nodes merge their children's
+/// position-sorted lists and write their embeddings and products into
+/// their own segments of flat arrays, so besides the engine's arena the
+/// build holds five n-word arrays (positions twice, kernels, A, B), the
+/// node list and the widest level's batch views: O(n) words, a few heap
+/// allocations per level. Deterministic for every thread count and
 /// bit-identical to lis_kernel_reference.
 ///
 /// @param perm a permutation of [0, n) (validated).
@@ -57,10 +63,13 @@ Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine);
 /// Kernels of many independent permutations in one level-order pass: each
 /// global merge level issues ONE batched engine call covering that level's
 /// merges across ALL inputs, so b kernels of size n cost O(log n) engine
-/// calls instead of O(b log n). The leaf round of lis::mpc_lis runs it
-/// once per machine, over the classes that machine owns, on an engine the
-/// machine builds for the round. Results are bit-identical to per-input
-/// lis_kernel for every thread count.
+/// calls instead of O(b log n). The inputs sit side by side in one value
+/// space, so the pass uses lis_kernel's flat arrays sized for the total
+/// N = Σ n_i (which must fit a 32-bit index), plus the returned kernels.
+/// The leaf round of lis::mpc_lis runs it once per machine, over the
+/// classes that machine owns, on an engine the machine builds for the
+/// round. Results are bit-identical to per-input lis_kernel for every
+/// thread count.
 ///
 /// @param perms one permutation of [0, n_i) per entry (each validated).
 /// @param engine the engine every batched merge level runs on.

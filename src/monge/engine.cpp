@@ -95,12 +95,6 @@ std::size_t persistent_bytes(std::int64_t m, std::int64_t h) {
          3 * slot_bytes<std::int32_t>(h + 1) + slot_bytes<std::int32_t>(m + h);
 }
 
-/// A size-x node's budget when x <= the base-case cutoff: the dense base
-/// case's three distribution matrices, nothing for x <= 1.
-std::size_t leaf_bytes(std::int64_t x) {
-  return x <= 1 ? 0 : base_case_bytes(x);
-}
-
 /// One top-level call's options and representation counters. Every budget
 /// is a pure function of the size and the options, so a forked worker
 /// computes its own carves and shares nothing with its sibling but the
@@ -123,6 +117,16 @@ struct Plan {
   bool probe(std::int64_t n) const {
     return opt.core_density_cutoff > 0 && n >= opt.core_probe_min_n &&
            n > opt.base_case_cutoff;
+  }
+
+  /// A size-x node's budget when x <= the base-case cutoff: nothing for
+  /// x <= 1, else the cutoff's own base case. The base case of the cutoff
+  /// needs more than the recursion just above it (1 152 vs 1 024 bytes at
+  /// cutoff 8), so budgeting each base case at its own size would make
+  /// budgets dip as the size grows; at the cutoff's size every budget is
+  /// monotone in the size.
+  std::size_t leaf_bytes(std::int64_t x) const {
+    return x <= 1 ? 0 : base_case_bytes(opt.base_case_cutoff);
   }
 
   /// The arena budget of a size-n node. The nodes at depth d of the
@@ -168,12 +172,8 @@ struct Plan {
         std::max({split_scratch_bytes(x), combine_scratch_bytes(x), children});
     // Probed nodes may take the block path, whose dense block of size
     // B < x needs two shifted input copies plus that block's own frame,
-    // 2·slot(B) + dense(B). Two size-x slots cover that wherever dense(B)
-    // <= dense(x), but budgets are not monotone in the size:
-    // base_case_bytes(c) exceeds the budget of c + 1 at the default cutoff,
-    // and sums of halves carry that upward. So mul_rec forks a block only
-    // when both carves fit, and an unforked block can still overflow (the
-    // arena throws rather than corrupt memory).
+    // 2·slot(B) + dense(B). Budgets are monotone in the size (see
+    // leaf_bytes), so dense(B) <= dense(x) and two size-x slots cover it.
     return probe(x) ? dense + 2 * slot_bytes<std::int32_t>(x) : dense;
   }
 };
@@ -345,16 +345,12 @@ void mul_rec(std::span<const std::int32_t> a, std::span<const std::int32_t> b,
   // Recurse, each child writing its result over its own input; the
   // subproblems are independent, so above the grain size they run
   // concurrently on disjoint arena slices. A node's budget holds both
-  // carves, but a dense block of the core-sparse path lives inside its
-  // probed parent's budget, which does not always stretch to them (see
-  // split_node_bytes); such a block runs its halves back-to-back.
-  const bool fork = plan.fork(n);
-  const std::size_t lo_bytes = fork ? plan.node_bytes(m) : 0;
-  const std::size_t hi_bytes = fork ? plan.node_bytes(h) : 0;
-  if (fork && lo_bytes + hi_bytes <= arena.remaining()) {
+  // carves, and so does a dense block of the core-sparse path inside its
+  // probed parent's budget (budgets are monotone in the size).
+  if (plan.fork(n)) {
     const std::size_t mark = arena.mark();
-    Arena lo_arena = arena.carve(lo_bytes);
-    Arena hi_arena = arena.carve(hi_bytes);
+    Arena lo_arena = arena.carve(plan.node_bytes(m));
+    Arena hi_arena = arena.carve(plan.node_bytes(h));
     plan.opt.pool->invoke_two(
         [&] { solve_adaptive(a_lo, b_lo, a_lo, lo_arena, plan); },
         [&] { solve_adaptive(a_hi, b_hi, a_hi, hi_arena, plan); });

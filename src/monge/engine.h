@@ -66,8 +66,7 @@
 // independent diagonal blocks — the core-sparse decomposition of Gorbachev
 // et al. (arXiv 2408.04613), streamed over the dense spans — where
 // one-sided-identity blocks are copied verbatim and only interacting
-// blocks recurse densely (forking above the grain when the arena left to
-// the block holds both halves' budgets).
+// blocks recurse densely (forking above the grain like any node).
 // Near-identical inputs (tiny cores) therefore cost near the core size
 // instead of n log n, while dense random inputs pay only the early-exit
 // probe. An engine constructed with core_density_cutoff = 0 never probes

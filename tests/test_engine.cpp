@@ -5,6 +5,7 @@
 #include <iterator>
 #include <numeric>
 
+#include "api/solver.h"
 #include "monge/distribution.h"
 #include "monge/seaweed.h"
 #include "monge/subperm.h"
@@ -154,8 +155,9 @@ TEST(SeaweedEngine, RejectsOversizeInputs) {
 
 // Budgets computed from the size and the knobs alone, pinned at sizes
 // around the base cutoff, the probe minimum and the grain, where the two
-// halves of a node differ in size. The values were read from the library
-// that cached budgets per size; any change to the formula shows here.
+// halves of a node differ in size. Every base case of size 2 to the cutoff
+// is budgeted as the cutoff's own, so budgets are monotone in the size;
+// any change to the formula shows here.
 TEST(SeaweedEngine, ArenaBudgetsMatchParent) {
   constexpr std::int64_t kSizes[] = {9, 63, 65, 1023, 1025, 8193, 65537};
   ThreadPool pool(3);
@@ -164,13 +166,13 @@ TEST(SeaweedEngine, ArenaBudgetsMatchParent) {
     SeaweedEngineOptions options;
     std::size_t bytes[std::size(kSizes)];
   } kTable[] = {
-      {"default", {}, {1024, 3712, 4736, 51840, 53120, 398912, 3153152}},
+      {"default", {}, {1600, 3712, 5184, 51840, 53568, 399360, 3153600}},
       {"pool 3, grain 64",
        {.parallel_grain = 64, .pool = &pool},
-       {1024, 3712, 7232, 173248, 178304, 1994432, 20648192}},
+       {1600, 3712, 7680, 173248, 178752, 1994880, 20648640}},
       {"core_density_cutoff 0",
        {.core_density_cutoff = 0.0},
-       {1024, 3712, 4096, 35968, 36608, 267328, 2103680}},
+       {1600, 3712, 4544, 35968, 37056, 267776, 2104128}},
       {"base_case_cutoff 1",
        {.base_case_cutoff = 1},
        {1984, 4096, 5568, 52224, 53952, 399744, 3153984}},
@@ -181,6 +183,35 @@ TEST(SeaweedEngine, ArenaBudgetsMatchParent) {
       EXPECT_EQ(engine.arena_bytes_for(kSizes[i]), row.bytes[i])
           << row.name << " n=" << kSizes[i];
     }
+  }
+}
+
+// A probed node's budget must hold the dense block its split leaves: one
+// block a little above the base cutoff, the rest of the node copied. Each
+// case overflows the arena if a base case is budgeted at its own size (the
+// base case of the cutoff then outweighs the budget one size up). The
+// engine and a Solver built with the same options return the oracle's
+// product.
+TEST(SeaweedEngine, DenseBlockNearBaseCutoffFitsProbedBudget) {
+  const struct {
+    std::int64_t n, swap_with, cutoff;
+  } kCases[] = {{72, 64, 8}, {68, 56, 16}, {65, 35, 64}};
+  for (const auto& c : kCases) {
+    std::vector<std::int32_t> a(static_cast<std::size_t>(c.n));
+    std::iota(a.begin(), a.end(), 0);
+    std::vector<std::int32_t> b = a;
+    std::swap(a[0], a[static_cast<std::size_t>(c.swap_with)]);
+    std::swap(b[1], b[2]);
+    const auto want = seaweed_multiply_reference_raw(a, b);
+    const SeaweedEngineOptions options{.base_case_cutoff = c.cutoff};
+    SeaweedEngine engine(options);
+    EXPECT_EQ(engine_multiply(engine, a, b), want) << "n=" << c.n;
+    EXPECT_GT(engine.representation_stats().blocks_dense, 0) << "n=" << c.n;
+    Solver solver(SolverOptions{.engine = options});
+    const auto res = solver.try_solve(MultiplyRequest{
+        Perm::from_rows(a, c.n), Perm::from_rows(b, c.n)});
+    ASSERT_TRUE(res.ok()) << "n=" << c.n << ": " << res.report.message;
+    EXPECT_EQ(res.value.c.row_to_col(), want) << "n=" << c.n;
   }
 }
 
@@ -263,11 +294,10 @@ TEST(SeaweedEngine, PooledDenseBlockAboveGrainMatchesSequential) {
   EXPECT_GT(delta.blocks_dense, 0);
 }
 
-// Budgets are not monotone near the base cutoff: at n = 71 the probed
-// root's budget holds a 66-row dense block's frame only when the block's
-// halves run back-to-back, not both carved for a fork. Such a block must
-// run unforked, with the sequential engine's product and counters.
-TEST(SeaweedEngine, PooledBlockTooTightToForkMatchesSequential) {
+// At n = 71 the probed root holds one 66-row dense block just above the
+// grain, so the block forks its halves inside the root's budget; the
+// pooled product and counters must be the sequential engine's.
+TEST(SeaweedEngine, PooledBlockNearBaseCutoffMatchesSequential) {
   const std::int64_t n = 71;
   std::vector<std::int32_t> a(static_cast<std::size_t>(n));
   std::iota(a.begin(), a.end(), 0);

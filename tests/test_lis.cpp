@@ -226,6 +226,20 @@ TEST(LisKernelLevelOrder, BitIdenticalToReferenceFuzz) {
     ASSERT_EQ(lis_kernel(p, engine), lis_kernel_reference(p, engine))
         << "n=" << n;
   }
+  // Sizes 2^k - 1 and 2^k + 1, whose trees hold leaves at two depths (a
+  // size-3 node merges a leaf with a size-2 node), unpooled and on a pool
+  // whose stripes write neighbouring segments of one level's kernels.
+  ThreadPool pool(3);
+  SeaweedEngine pooled({.parallel_grain = 64, .pool = &pool});
+  for (std::int64_t k = 2; k <= 12; ++k) {
+    for (const std::int64_t n : {(std::int64_t{1} << k) - 1,
+                                 (std::int64_t{1} << k) + 1}) {
+      const auto p = rng.permutation(n);
+      const Perm want = lis_kernel_reference(p, engine);
+      ASSERT_EQ(lis_kernel(p, engine), want) << "n=" << n;
+      ASSERT_EQ(lis_kernel(p, pooled), want) << "pooled n=" << n;
+    }
+  }
 }
 
 // Call-structure pin: the level-order builder issues exactly one batched
